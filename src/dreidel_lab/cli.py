@@ -1,7 +1,9 @@
 """Command-line entry point: every analysis as a seedable subcommand.
 
 Exit codes: 0 success, 1 hard bound-check failure, 2 usage or
-infeasible-parameter error.
+infeasible-parameter error, 3 a computation failed its own check (a
+solver residual, a bound-table truncation, a construction or a game
+rule); errors print one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import os
 import sys
 
 from . import construction, gamelets, hitting_bounds, kernels, montecarlo, solvers
-from .game import GameConfig
+from .game import GameConfig, GameError
 from .reporting import BoundReport, format_csv, format_json, write_text, emit_plot_data
 
 
@@ -68,7 +70,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_epochs(args) -> int:
-    stats = montecarlo.payoff_sample(args.k, args.n, args.epochs, args.seed)
+    stats = montecarlo.payoff_sample(args.k, args.epochs, args.seed)
     report = montecarlo.moment_report(stats)
     for e in montecarlo.tail_report(stats).entries:
         report.entries.append(e)
@@ -91,7 +93,7 @@ def cmd_epochs(args) -> int:
 
 
 def cmd_wald(args) -> int:
-    stats = montecarlo.payoff_sample(args.k, args.n, args.epochs, args.seed)
+    stats = montecarlo.payoff_sample(args.k, args.epochs, args.seed)
     sample = montecarlo.sample_stopping(args.k, args.n, args.w0, args.records, args.seed + 1)
     report = montecarlo.wald_report(sample, stats)
     return _finish_report(args, report)
@@ -271,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("epochs", help="payoff statistics with moment/tail checks")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=4)
     p.add_argument("--epochs", type=int, default=100_000)
     p.add_argument("--plot", default=None, help="write epoch-length histogram plot data")
     _add_common(p)
@@ -343,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("report", help="aggregated markdown of bound verdicts")
-    p.add_argument("--k", type=int, default=2)
     p.add_argument("--n-list", required=True, help="e.g. 2..8")
     _add_common(p)
     p.set_defaults(func=cmd_report)
@@ -359,6 +359,14 @@ def main(argv=None) -> int:
     except (ValueError, construction.InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (
+        solvers.SolverError,
+        hitting_bounds.TruncationError,
+        construction.ConstructionError,
+        GameError,
+    ) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

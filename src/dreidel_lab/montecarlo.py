@@ -1,9 +1,10 @@
 """Monte Carlo estimators and bound-check reports for the epoch analysis.
 
-The heavy samplers are vectorized over trials with numpy.  Epochs of the
-free-running overdraft process are independent (the pot returns to k at
-every boundary and stacks are unbounded), so a batch of epochs has the
-same law as a consecutive run.
+Every sampler runs on one array engine, `SpinBatch`, which spins many
+games in lockstep for any number of players; the samplers add only their
+stop rules.  Epochs of the free-running overdraft process are
+independent (the pot returns to k at every boundary and stacks are
+unbounded), so a batch of epochs has the same law as a consecutive run.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import GameConfig
+from .game import GameConfig, SpinCapExceeded
 from .reporting import BoundReport
 from .rng import GANZ, HALB, SHTEL, make_generator
 
@@ -23,7 +24,87 @@ CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
-# batch epoch engine
+# array spin engine
+
+
+class SpinBatch:
+    """m dreidel games spun in lockstep: the array form of `game.apply_spin`.
+
+    Player i of game j holds stacks[i, j] - antes[j] tokens.  Stacks are
+    stored net of the antes every live player has paid, so an ante costs
+    one counter per game.  Seats take turns on one clock shared by all
+    games, and a seat that is out of a game skips its turn there without
+    spinning, so a batch of one game spins exactly as `game.play_game`
+    does.  With overdraft, stacks may go negative and nobody is ever
+    eliminated; without it, a broke player who must pay is out.
+    """
+
+    def __init__(self, k: int, m: int, stack: int, overdraft: bool):
+        self.k = k
+        self.overdraft = overdraft
+        self.seat = 0  # the seat on turn in every game
+        self.pot = np.full(m, k, dtype=np.int64)
+        self.stacks = np.full((k, m), stack, dtype=np.int64)
+        self.antes = np.zeros(m, dtype=np.int64)
+        self.alive = np.ones((k, m), dtype=bool)
+        self.live = np.full(m, k, dtype=np.int64)  # players left per game
+
+    def step(self, rng) -> np.ndarray:
+        """One spin by the seat on turn in every game it is still in.
+
+        Draws one outcome per spinning game in a single call, and returns
+        the outcome per game, -1 where the seat sat out.
+        """
+        seat = self.seat
+        self.seat = (seat + 1) % self.k
+        on = self.alive[seat]
+        every = self.overdraft or bool(on.all())
+        idx = slice(None) if every else np.flatnonzero(on)
+        pot = self.pot[idx]  # views when every game spins, copies otherwise
+        mine = self.stacks[seat, idx]
+        o = np.asarray(rng.integers(0, 4, size=pot.size))
+        g = o == GANZ
+        s = o == SHTEL
+        take = (o == HALB) * (pot >> 1) + g * pot
+        if not self.overdraft:
+            broke = s & (mine == self.antes[idx])
+            if broke.any():  # the spinner cannot pay: out, pot unchanged
+                s ^= broke
+                out = np.flatnonzero(broke) if every else idx[broke]
+                self.alive[seat, out] = False
+                self.live[out] -= 1
+        mine += take - s
+        pot += s - take
+        if self.overdraft:  # a Ganz empties the pot and all k players ante
+            pot += self.k * g
+            self.antes += g
+            return o
+        if not every:
+            self.pot[idx] = pot
+            self.stacks[seat, idx] = mine
+        gi = np.flatnonzero(g) if every else idx[g]
+        if gi.size:  # ante after a Ganz: players on zero are out
+            pays = self.alive[:, gi] & (self.stacks[:, gi] > self.antes[gi])
+            self.alive[:, gi] = pays
+            self.antes[gi] += 1
+            self.pot[gi] = self.live[gi] = pays.sum(axis=0)
+        if every:
+            return o
+        full = np.full(on.size, -1, dtype=o.dtype)
+        full[idx] = o
+        return full
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the games where `rows` is False."""
+        self.pot = self.pot[rows]
+        self.stacks = self.stacks[:, rows]
+        self.antes = self.antes[rows]
+        self.alive = self.alive[:, rows]
+        self.live = self.live[rows]
+
+
+# ---------------------------------------------------------------------------
+# epochs
 
 
 @dataclass
@@ -34,59 +115,43 @@ class EpochSample:
     landslide: np.ndarray  # bool per epoch
 
 
-def _epoch_batch(k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate m independent epochs; returns (payoff, length, landslide)."""
-    y_out = np.zeros(m, dtype=np.int64)
-    len_out = np.zeros(m, dtype=np.int64)
-    ls_out = np.zeros(m, dtype=bool)
-    pot = np.full(m, k, dtype=np.int64)
+def _run_epochs(k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m independent overdraft epochs, each ended by the last seat's Ganz;
+    returns (last player's payoff, length, landslide)."""
+    batch = SpinBatch(k, m, 0, overdraft=True)
     y = np.zeros(m, dtype=np.int64)
+    lengths = np.zeros(m, dtype=np.int64)
+    landslide = np.zeros(m, dtype=bool)
     first_shtels = np.ones(m, dtype=bool)
     active = np.arange(m)
-    r = 0
+    spins = 0
     while active.size:
-        pa = pot[active]
-        ya = y[active]
-        done = None
-        for j in range(k):
-            o = np.asarray(rng.integers(0, 4, size=active.size))
-            gm = o == GANZ
-            hm = o == HALB
-            sm = o == SHTEL
-            if j < k - 1:
-                # another player's spin: only the pot and antes touch P_k
-                ya[gm] -= 1
-                pa[gm] = k
-                pa[hm] -= pa[hm] // 2
-                pa[sm] += 1
-                if r == 0:
-                    first_shtels[active] &= sm
-            else:
-                ya[gm] += pa[gm] - 1  # take the pot, then pay the ante
-                pa[gm] = k
-                ya[hm] += pa[hm] // 2
-                pa[hm] -= pa[hm] // 2
-                ya[sm] -= 1
-                pa[sm] += 1
-                done = gm
-        pot[active] = pa
-        y[active] = ya
+        o = batch.step(rng)
+        spins += 1
+        if spins < k:
+            first_shtels &= o == SHTEL
+        if batch.seat:
+            continue
+        done = o == GANZ  # the last seat has just spun
         idx = active[done]
-        y_out[idx] = y[idx]
-        len_out[idx] = k * (r + 1)
-        if r == 0:
-            ls_out[idx] = first_shtels[idx]
+        y[idx] = batch.stacks[k - 1, done] - batch.antes[done]
+        lengths[idx] = spins
+        if spins == k:
+            landslide[idx] = first_shtels[done]
         active = active[~done]
-        r += 1
-    return y_out, len_out, ls_out
+        batch.keep(~done)
+    return y, lengths, landslide
 
 
 def sample_epochs(k: int, n_epochs: int, seed: int) -> EpochSample:
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got k={k}")
+    if n_epochs < 1:
+        raise ValueError(f"n_epochs must be at least 1, got n_epochs={n_epochs}")
     ys, lens, lss = [], [], []
     for c, lo in enumerate(range(0, n_epochs, CHUNK)):
         m = min(CHUNK, n_epochs - lo)
-        rng = make_generator(seed, c)
-        y, ln, ls = _epoch_batch(k, m, rng)
+        y, ln, ls = _run_epochs(k, m, make_generator(seed, c))
         ys.append(y)
         lens.append(ln)
         lss.append(ls)
@@ -159,15 +224,12 @@ class PayoffStats:
         return float(hist[threshold:].sum()) / self.count
 
 
-def payoff_sample(k: int, n: int, epochs: int, seed: int) -> PayoffStats:
+def payoff_sample(k: int, epochs: int, seed: int) -> PayoffStats:
     """Statistics over consecutive epochs of the free-running process.
 
-    The overdraft payoff law does not depend on n; the parameter is kept
-    so callers can name the configuration they study.
+    The overdraft payoff law does not depend on n.
     """
-    del n
-    sample = sample_epochs(k, epochs, seed)
-    return PayoffStats.from_sample(sample)
+    return PayoffStats.from_sample(sample_epochs(k, epochs, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -188,103 +250,26 @@ class DurationEstimate:
         return self.trials > 1
 
 
-def _durations_two_player(n: int, m: int, rng, spin_cap: int) -> np.ndarray:
-    """Vectorized plain-dreidel durations for k=2 (non-overdraft)."""
-    pot = np.full(m, 2, dtype=np.int64)
-    s = np.zeros((2, m), dtype=np.int64)
-    s[0] = n - 1
-    s[1] = n - 1
-    out = np.zeros(m, dtype=np.int64)
-    active = np.arange(m)
-    step = 0
-    while active.size:
-        if step >= spin_cap:
-            raise RuntimeError(f"batch exceeded {spin_cap} spins")
-        p = step % 2
-        q = 1 - p
-        o = np.asarray(rng.integers(0, 4, size=active.size))
-        pa = pot[active]
-        sp = s[p][active]
-        sq = s[q][active]
-
-        hm = o == HALB
-        sp[hm] += pa[hm] // 2
-        pa[hm] -= pa[hm] // 2
-
-        sm = o == SHTEL
-        s_dead = sm & (sp == 0)  # spinner cannot pay: eliminated
-        pay = sm & ~s_dead
-        sp[pay] -= 1
-        pa[pay] += 1
-
-        gm = o == GANZ
-        sp[gm] += pa[gm]
-        g_dead = gm & (sq == 0)  # opponent cannot ante: eliminated
-        g_pay = gm & ~g_dead
-        sp[g_pay] -= 1
-        sq[g_pay] -= 1
-        pa[g_pay] = 2
-
-        pot[active] = pa
-        s[p][active] = sp
-        s[q][active] = sq
-
-        dead = s_dead | g_dead
-        out[active[dead]] = step + 1
-        active = active[~dead]
-        step += 1
-    return out
-
-
-def simulate_duration(config: GameConfig, rng) -> int:
-    """Spin count of one plain-dreidel game, any k (no transcript)."""
-    k = config.k
-    pot = k
-    stacks = [config.n - 1] * k
-    alive = [True] * k
-    n_alive = k
-    turn = 0
-    spins = 0
-    while True:
-        if spins >= config.spin_cap:
-            raise RuntimeError(f"game exceeded {config.spin_cap} spins")
-        o = int(rng.integers(0, 4))
-        spins += 1
-        if o == GANZ:
-            stacks[turn] += pot
-            pot = 0
-            for p in range(k):
-                if not alive[p]:
-                    continue
-                if stacks[p] >= 1:
-                    stacks[p] -= 1
-                    pot += 1
-                else:
-                    alive[p] = False
-                    n_alive -= 1
-        elif o == HALB:
-            stacks[turn] += pot // 2
-            pot -= pot // 2
-        elif o == SHTEL:
-            if stacks[turn] >= 1:
-                stacks[turn] -= 1
-                pot += 1
-            else:
-                alive[turn] = False
-                n_alive -= 1
-        if n_alive <= 1:
-            return spins
-        turn = (turn + 1) % k
-        while not alive[turn]:
-            turn = (turn + 1) % k
-
-
 def _duration_chunk(args) -> np.ndarray:
+    """Spin counts of m plain-dreidel games, each run until at most one
+    player is left."""
     config, seed, chunk_index, m = args
     rng = make_generator(seed, chunk_index)
-    if config.k == 2:
-        return _durations_two_player(config.n, m, rng, config.spin_cap)
-    return np.array([simulate_duration(config, rng) for _ in range(m)], dtype=np.int64)
+    batch = SpinBatch(config.k, m, config.n - 1, overdraft=False)
+    out = np.zeros(m, dtype=np.int64)
+    spins = np.zeros(m, dtype=np.int64)
+    active = np.arange(m)
+    while active.size:
+        if spins.max() >= config.spin_cap:
+            raise SpinCapExceeded(f"game exceeded {config.spin_cap} spins")
+        spins += batch.step(rng) >= 0
+        done = batch.live <= 1
+        if done.any():
+            out[active[done]] = spins[done]
+            active = active[~done]
+            spins = spins[~done]
+            batch.keep(~done)
+    return out
 
 
 def sample_durations(config: GameConfig, trials: int, seed: int, jobs: int = 1) -> np.ndarray:
@@ -330,6 +315,10 @@ class StoppingSample:
 
 def sample_stopping(k: int, n: int, w0: int, runs: int, seed: int) -> StoppingSample:
     """Vectorized metaslowdel stopping records for the last player."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got k={k}")
+    if runs < 2:  # wald_report needs sample variances
+        raise ValueError(f"runs must be at least 2, got runs={runs}")
     if not 0 <= w0 <= k * (n - 1):
         raise ValueError("w0 outside [0, k(n-1)]")
     lower = -w0
@@ -344,8 +333,7 @@ def sample_stopping(k: int, n: int, w0: int, runs: int, seed: int) -> StoppingSa
     active = np.arange(runs)
     epoch = 0
     while active.size:
-        rng = make_generator(seed, epoch)
-        y, lengths, _ = _epoch_batch(k, active.size, rng)
+        y, lengths, _ = _run_epochs(k, active.size, make_generator(seed, epoch))
         s[active] += y
         t[active] += 1
         u[active] += lengths

@@ -23,11 +23,6 @@ def make_generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *stream))))
 
 
-def spin_codes(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw `size` uniform spin outcomes (two fresh bits per spin)."""
-    return rng.integers(0, 4, size=size)
-
-
 class ScriptedSource:
     """Deterministic outcome source backed by a fixed code sequence.
 

@@ -42,7 +42,7 @@ def criterion(num: int, desc: str, ok: bool) -> None:
 
 @pytest.fixture(scope="module")
 def stats_by_k():
-    return {k: mc.payoff_sample(k, 4, EPOCHS, seed=SEED + k) for k in (2, 3, 4)}
+    return {k: mc.payoff_sample(k, EPOCHS, seed=SEED + k) for k in (2, 3, 4)}
 
 
 def test_criterion_01_rules_semantics():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from dreidel_lab import construction, hitting_bounds, montecarlo, solvers
 from dreidel_lab.cli import main
+from dreidel_lab.game import SpinCapExceeded
 
 
 def run(tmp_path, args, name="out.txt"):
@@ -31,6 +33,41 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["exact"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["epochs", "--epochs", "0"], "n_epochs"),
+            (["epochs", "--k", "1", "--epochs", "10"], "k"),
+            (["wald", "--records", "0", "--epochs", "100"], "runs"),
+            (["wald", "--records", "1", "--epochs", "100"], "runs"),
+        ],
+    )
+    def test_bad_sampler_input_is_usage_error(self, tmp_path, capsys, args, name):
+        code, _ = run(tmp_path, args)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name}=" in err
+
+    @pytest.mark.parametrize(
+        "module, attr, exc, args",
+        [
+            (solvers, "absorption_stats", solvers.SolverError, ["exact", "--n", "3"]),
+            (hitting_bounds, "bound_tables", hitting_bounds.TruncationError, ["bounds", "--n", "3"]),
+            (construction, "construct_long_game", construction.ConstructionError,
+             ["construct", "--n", "20", "--s", "60"]),
+            (montecarlo, "estimate_mean_duration", SpinCapExceeded, ["simulate", "--n", "3"]),
+        ],
+    )
+    def test_failed_computation_exits_3(self, tmp_path, capsys, monkeypatch, module, attr, exc, args):
+        def fail(*a, **kw):
+            raise exc("check failed")
+
+        monkeypatch.setattr(module, attr, fail)
+        code, _ = run(tmp_path, args)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {exc.__name__}: check failed\n"
 
 
 class TestOutputs:

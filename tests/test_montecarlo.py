@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dreidel_lab import montecarlo as mc
 from dreidel_lab.epochs import new_custom, run_epoch, classify_epoch
-from dreidel_lab.game import GameConfig, play_game
+from dreidel_lab.game import GameConfig, SpinCapExceeded, play_game
 from dreidel_lab.rng import make_generator
 
 
@@ -55,36 +56,42 @@ class TestEpochBatchOracle:
 
 class TestPayoffStats:
     def test_variance_identity(self):
-        stats = mc.payoff_sample(2, 4, 10_000, seed=0)
+        stats = mc.payoff_sample(2, 10_000, seed=0)
         assert abs(stats.variance - (stats.second_moment - stats.mean**2)) < 1e-9
 
     def test_determinism(self):
-        a = mc.payoff_sample(2, 4, 5000, seed=9)
-        b = mc.payoff_sample(2, 4, 5000, seed=9)
+        a = mc.payoff_sample(2, 5000, seed=9)
+        b = mc.payoff_sample(2, 5000, seed=9)
         assert a.mean == b.mean and a.second_moment == b.second_moment
 
     def test_tail_ge(self):
-        stats = mc.payoff_sample(2, 4, 5000, seed=1)
+        stats = mc.payoff_sample(2, 5000, seed=1)
         assert stats.tail_ge(1, stats.length_hist) == 1.0
         assert stats.tail_ge(10**6, stats.length_hist) == 0.0
 
 
 class TestDurations:
-    def test_vectorized_matches_scalar_k2(self):
-        cfg = GameConfig(k=2, n=4)
-        m = 20_000
-        vec = mc.sample_durations(cfg, m, seed=2)
-        rng = make_generator(3)
-        ref = np.array([mc.simulate_duration(cfg, rng) for _ in range(m)])
-        se = math.sqrt(vec.var() / m + ref.var() / m)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_vectorized_matches_play_game(self, k):
+        cfg = GameConfig(k=k, n=4)
+        vec = mc.sample_durations(cfg, 20_000, seed=2)
+        ref = np.array([play_game(cfg, make_generator(3, i)).duration for i in range(1000)])
+        se = math.sqrt(vec.var() / vec.size + ref.var() / ref.size)
         assert abs(vec.mean() - ref.mean()) < 5 * se
 
-    def test_scalar_matches_play_game(self):
-        cfg = GameConfig(k=3, n=2)
-        for seed in range(50):
-            assert mc.simulate_duration(cfg, make_generator(seed)) == play_game(
-                cfg, make_generator(seed)
-            ).duration
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_one_game_batches_match_play_game(self, k):
+        # a batch of one game draws exactly the spins play_game draws
+        for n in (2, 3, 4):
+            cfg = GameConfig(k=k, n=n)
+            for seed in range(20):
+                assert mc.sample_durations(cfg, 1, seed)[0] == play_game(
+                    cfg, make_generator(seed, 0)
+                ).duration
+
+    def test_spin_cap(self):
+        with pytest.raises(SpinCapExceeded):
+            mc.sample_durations(GameConfig(k=3, n=6, spin_cap=5), 100, seed=0)
 
     def test_jobs_do_not_change_results(self):
         cfg = GameConfig(k=2, n=4)
@@ -107,6 +114,27 @@ class TestDurations:
         big = mc.estimate_mean_duration(cfg, 8000, seed=7)
         assert big.se < small.se
         assert 0.3 < big.se / small.se < 0.8  # ~ 1/2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(min_value=3, max_value=5),
+    n=st.integers(min_value=1, max_value=5),
+    m=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_spin_batch_conserves_tokens(k, n, m, seed):
+    batch = mc.SpinBatch(k, m, n - 1, overdraft=False)
+    rng = make_generator(seed)
+    while batch.pot.size:
+        before = batch.alive.copy()
+        batch.step(rng)
+        held = np.where(batch.alive, batch.stacks - batch.antes, 0)
+        assert np.all(batch.pot + held.sum(axis=0) == k * n)
+        assert np.all(held >= 0)
+        assert not np.any(batch.alive & ~before)  # the dead stay dead
+        assert np.all(batch.live == batch.alive.sum(axis=0))
+        batch.keep(batch.live > 1)
 
 
 class TestGanzWait:
@@ -139,16 +167,21 @@ class TestStoppingSample:
         with pytest.raises(ValueError):
             mc.sample_stopping(2, 4, 99, 10, seed=0)
 
+    @pytest.mark.parametrize("k, runs, name", [(1, 10, "k"), (2, 1, "runs"), (2, 0, "runs")])
+    def test_bad_inputs(self, k, runs, name):
+        with pytest.raises(ValueError, match=f"{name}="):
+            mc.sample_stopping(k, 4, 0, runs, seed=0)
+
 
 class TestReports:
     def test_moment_and_tail_pass(self):
-        stats = mc.payoff_sample(2, 4, 50_000, seed=0)
+        stats = mc.payoff_sample(2, 50_000, seed=0)
         assert mc.moment_report(stats).ok
         assert mc.tail_report(stats).ok
         assert mc.landslide_report(stats).ok
 
     def test_wald_pass(self):
-        stats = mc.payoff_sample(2, 4, 100_000, seed=0)
+        stats = mc.payoff_sample(2, 100_000, seed=0)
         sample = mc.sample_stopping(2, 4, 3, 20_000, seed=1)
         rep = mc.wald_report(sample, stats)
         assert rep.ok
