@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 hard bound-check failure, 2 usage or
 infeasible-parameter error, 3 a computation failed its own check (a
-solver residual, a bound-table truncation, a construction or a game
-rule); errors print one `error:` line to stderr.
+solver residual, a singular system, an unconverged power iteration,
+a bound-table truncation, a construction or a game rule); errors
+print one `error:` line to stderr.
 """
 
 from __future__ import annotations

@@ -9,38 +9,49 @@ import numpy as np
 
 from .kernels import ModChainSpec, SparseKernel, build_game_chain, build_mod_chain, game_chain_start
 from .reporting import BoundReport
-from .solvers import HitSolver, absorption_stats, mean_return_time
+from .solvers import HitSolver, RestrictedLU, absorption_stats, mean_return_time, next_step_mean
 
 
 class TruncationError(RuntimeError):
     """Reported quantities kept moving while the pot cap grew."""
 
 
+def _green_hits(kernel: SparseKernel, avoid, queries) -> list[float]:
+    """P_x(hit a before `avoid`) for each (x, a) in `queries`, from one
+    factorization of G = (I - P off {avoid})^-1 as G(x, a) / G(a, a)."""
+    lu = RestrictedLU(kernel, {avoid})
+    index = kernel.index
+    out = []
+    for x, a in queries:
+        g = lu.green(a)
+        out.append(float(g[index[x]] / g[index[a]]))
+    return out
+
+
 def _quantities(spec: ModChainSpec) -> dict[str, float]:
-    """Every bound-table quantity on one mod chain instance."""
+    """Every bound-table quantity on one mod chain instance, from five
+    factorizations; each is released before the next one is made."""
     n = spec.n
     lam = spec.lam
     kernel = build_mod_chain(spec)
     y1 = (n - 1) % lam
-    s0 = spec.start
+    s0 = spec.start  # (2, y1, 1)
     out: dict[str, float] = {}
 
-    for m in range(1, n + 2):
-        target = frozenset({(2, (y1 + m) % lam, 2)})
-        avoid = frozenset({(2, (y1 - 1) % lam, 1)})
-        out[f"A_{m}"] = HitSolver(kernel, target, avoid).prob((2, y1, 1))
-        target = frozenset({(2, (y1 - m) % lam, 2)})
-        avoid = frozenset({(2, (y1 + 1) % lam, 1)})
-        out[f"B_{m}"] = HitSolver(kernel, target, avoid).prob((2, y1, 1))
+    # A_m: reach (2, y1 + m, 2) before (2, y1 - 1, 1); B_m mirrors it
+    ms = range(1, n + 2)
+    for name, sign in (("A", 1), ("B", -1)):
+        targets = [(s0, (2, (y1 + sign * m) % lam, 2)) for m in ms]
+        probs = _green_hits(kernel, (2, (y1 - sign) % lam, 1), targets)
+        out.update((f"{name}_{m}", p) for m, p in zip(ms, probs))
 
-    s1 = frozenset({(2, (n - 1) % lam, 1), (2, (n - 2) % lam, 1)})
-    s2 = frozenset({(2, (n - 1) % lam, 1), (2, n % lam, 1)})
-    out["omega1"] = HitSolver(kernel, frozenset({(2, n % lam, 1)}), s1).prob(
-        s0, first_step_exempt=True
-    )
-    out["omega2"] = HitSolver(kernel, frozenset({(2, (n - 2) % lam, 1)}), s2).prob(
-        s0, first_step_exempt=True
-    )
+    # omega1: reach y = n before n-1, n-2; omega2: reach n-2 before n-1, n;
+    # both leave s0 = (2, n-1, 1) on the first step
+    points = [(2, (n + d) % lam, 1) for d in (-2, -1, 0)]
+    lu = RestrictedLU(kernel, points)
+    out["omega1"] = next_step_mean(kernel, s0, lu.harmonic({points[2]}))
+    out["omega2"] = next_step_mean(kernel, s0, lu.harmonic({points[0]}))
+    del lu
 
     ends = frozenset(spec.end_states())
     out["p_f"] = HitSolver(kernel, ends, frozenset({s0})).prob(s0, first_step_exempt=True)
@@ -115,12 +126,6 @@ class IdentityResiduals:
         return float(np.max(self.duality))
 
 
-def _pot2_prob(kernel: SparseKernel, y1z1, y2z2, y3z3) -> float:
-    target = frozenset({(2, *y2z2)})
-    avoid = frozenset({(2, *y3z3)})
-    return HitSolver(kernel, target, avoid).prob((2, *y1z1))
-
-
 def identity_checks(
     n: int,
     flavor: str = "game",
@@ -139,36 +144,40 @@ def identity_checks(
     kernel = build_mod_chain(spec)
     flavor_tag = {"game": 0, "formal": 1}[flavor]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, n, flavor_tag))))
-    comp, trans, dual = [], [], []
-    count = 0
-    while count < n_queries:
+
+    def pot2(y, z):
+        return (2, y % lam, z)
+
+    # four queries (start, target, avoid) per draw: p, p_swap, p_shift, p_dual
+    queries = []
+    while len(queries) < 4 * n_queries:
         y1, y2, y3 = (int(v) for v in rng.integers(0, lam, size=3))
         z1, z2, z3 = (int(v) for v in rng.integers(1, 3, size=3))
         if (y2, z2) == (y3, z3) or (y1, z1) in ((y2, z2), (y3, z3)):
             continue
-        count += 1
-        p = _pot2_prob(kernel, (y1, z1), (y2, z2), (y3, z3))
-        p_swap = _pot2_prob(kernel, (y1, z1), (y3, z3), (y2, z2))
-        comp.append(abs(p + p_swap - 1.0))
-
         m = int(rng.integers(1, lam))
-        p_shift = _pot2_prob(
-            kernel,
-            ((y1 + m) % lam, z1),
-            ((y2 + m) % lam, z2),
-            ((y3 + m) % lam, z3),
-        )
-        trans.append(abs(p_shift - p))
+        yz = ((y1, z1), (y2, z2), (y3, z3))
+        x, a, b = (pot2(y, z) for y, z in yz)
+        queries += [
+            (x, a, b),
+            (x, b, a),
+            tuple(pot2(y + m, z) for y, z in yz),
+            tuple(pot2(-y - 2, 3 - z) for y, z in yz),
+        ]
 
-        def conj(y, z):
-            return ((-y - 2) % lam, 3 - z)
-
-        p_dual = _pot2_prob(kernel, conj(y1, z1), conj(y2, z2), conj(y3, z3))
-        dual.append(abs(p_dual - p))
+    # one Green's function per avoid state, so p and p_swap come from
+    # different factorizations
+    by_avoid: dict = {}
+    for slot, (x, a, b) in enumerate(queries):
+        by_avoid.setdefault(b, []).append((slot, x, a))
+    probs = np.empty(len(queries))
+    for b, group in by_avoid.items():
+        probs[[slot for slot, _, _ in group]] = _green_hits(kernel, b, [(x, a) for _, x, a in group])
+    p, p_swap, p_shift, p_dual = probs.reshape(-1, 4).T
     return IdentityResiduals(
         n=n,
         flavor=flavor,
-        complementarity=np.array(comp),
-        translation=np.array(trans),
-        duality=np.array(dual),
+        complementarity=np.abs(p + p_swap - 1.0),
+        translation=np.abs(p_shift - p),
+        duality=np.abs(p_dual - p),
     )

@@ -8,6 +8,11 @@ Three chains are built here:
     spin; "game" updates the second coordinate only on P1's spins and on
     antes.
 
+Each kernel is one CSR matrix over its numbered states, built with array
+arithmetic on the (pot, stack, turn) grid; `_game_step` and
+`mod_chain_step` are the scalar one-spin rules that tests check every row
+against.
+
 Pot overflow in the mod chain is truncated: a Shtel at the cap leaves
 the pot coordinate in place (the other coordinates still update).
 Reaching pot x from 2 needs at least x-2 Shtels, so the truncated tail
@@ -16,8 +21,8 @@ mass decays at least geometrically in the cap.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,72 +34,91 @@ P_LOSS_1 = ("loss", 1)  # P1 eliminated: P2 wins
 P_LOSS_2 = ("loss", 2)
 
 
+class SolverError(RuntimeError):
+    """A float linear solve or iteration failed its own check."""
+
+
+class _RowView(Sequence):
+    """The rows of a CSR matrix: row i is a list of (column, probability).
+    Assigning a row rewrites that row of the matrix in place."""
+
+    def __init__(self, csr: sp.csr_matrix):
+        self._csr = csr
+
+    def __len__(self) -> int:
+        return self._csr.shape[0]
+
+    def __getitem__(self, i: int) -> list[tuple[int, float]]:
+        i = range(len(self))[i]
+        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
+        return list(zip(self._csr.indices[lo:hi].tolist(), self._csr.data[lo:hi].tolist()))
+
+    def __setitem__(self, i: int, row: list[tuple[int, float]]) -> None:
+        i = range(len(self))[i]
+        csr = self._csr
+        lo, hi = csr.indptr[i], csr.indptr[i + 1]
+        cols, probs = (list(v) for v in zip(*row)) if row else ([], [])
+        csr.indices = np.concatenate([csr.indices[:lo], np.array(cols, dtype=csr.indices.dtype), csr.indices[hi:]])
+        csr.data = np.concatenate([csr.data[:lo], np.array(probs, dtype=float), csr.data[hi:]])
+        csr.indptr[i + 1:] += len(cols) - (hi - lo)
+        csr.has_sorted_indices = False  # so that sum_duplicates sorts first
+        csr.sum_duplicates()
+
+
 @dataclass
 class SparseKernel:
+    """A Markov kernel on `states`: row i of `csr` holds the transition
+    probabilities out of states[i], and absorbing states have empty rows."""
+
     states: list
-    index: dict
-    rows: list[list[tuple[int, float]]]
+    csr: sp.csr_matrix
     absorbing: np.ndarray
+    index: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.index = {s: i for i, s in enumerate(self.states)}
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
+    @property
+    def rows(self) -> _RowView:
+        return _RowView(self.csr)
+
     def validate(self, tol: float = 1e-12) -> None:
-        for i, row in enumerate(self.rows):
-            if self.absorbing[i]:
-                if row:
-                    raise ValueError(f"absorbing state {self.states[i]} has successors")
-                continue
-            total = sum(p for _, p in row)
-            if abs(total - 1.0) > tol:
-                raise ValueError(f"row {self.states[i]} sums to {total}")
-            if any(p <= 0 for _, p in row):
-                raise ValueError(f"row {self.states[i]} has a nonpositive probability")
+        csr = self.csr
+        if csr.shape != (self.n_states, self.n_states):
+            raise ValueError(f"matrix shape {csr.shape} does not match {self.n_states} states")
+        bad = np.flatnonzero(self.absorbing & (np.diff(csr.indptr) > 0))
+        if bad.size:
+            raise ValueError(f"absorbing state {self.states[bad[0]]} has successors")
+        totals = np.asarray(csr.sum(axis=1)).ravel()
+        bad = np.flatnonzero(~self.absorbing & ~(np.abs(totals - 1.0) <= tol))
+        if bad.size:
+            raise ValueError(f"row {self.states[bad[0]]} sums to {float(totals[bad[0]])}")
+        bad = np.flatnonzero(~(csr.data > 0))
+        if bad.size:
+            row = int(np.searchsorted(csr.indptr, bad[0], side="right")) - 1
+            raise ValueError(f"row {self.states[row]} has a nonpositive probability")
 
     def to_csr(self) -> sp.csr_matrix:
-        data, ri, ci = [], [], []
-        for i, row in enumerate(self.rows):
-            for j, p in row:
-                ri.append(i)
-                ci.append(j)
-                data.append(p)
-        return sp.csr_matrix((data, (ri, ci)), shape=(self.n_states, self.n_states))
+        return self.csr.copy()
 
     def successors(self, state) -> list[tuple[object, float]]:
-        i = self.index[state]
-        return [(self.states[j], p) for j, p in self.rows[i]]
+        return [(self.states[j], p) for j, p in self.rows[self.index[state]]]
 
 
-class _Builder:
-    def __init__(self):
-        self.states: list = []
-        self.index: dict = {}
-        self.rows: list[list[tuple[int, float]]] = []
-        self.absorbing: list[bool] = []
-
-    def add(self, state, absorbing: bool = False) -> int:
-        if state in self.index:
-            return self.index[state]
-        i = len(self.states)
-        self.index[state] = i
-        self.states.append(state)
-        self.rows.append([])
-        self.absorbing.append(absorbing)
-        return i
-
-    def set_row(self, i: int, succ: dict) -> None:
-        self.rows[i] = sorted(succ.items())
-
-    def kernel(self) -> SparseKernel:
-        k = SparseKernel(
-            states=self.states,
-            index=self.index,
-            rows=self.rows,
-            absorbing=np.array(self.absorbing, dtype=bool),
-        )
-        k.validate()
-        return k
+def _spin_kernel(states: list, src: np.ndarray, succ: np.ndarray, absorbing: np.ndarray) -> SparseKernel:
+    """Kernel in which state src[r] moves to state succ[o, r] with
+    probability 1/4 for each of the four spin outcomes o."""
+    n = len(states)
+    rows = np.tile(src, succ.shape[0])
+    csr = sp.csr_matrix((np.full(rows.size, 0.25), (rows, succ.ravel())), shape=(n, n))
+    csr.sum_duplicates()
+    kernel = SparseKernel(states=states, csr=csr, absorbing=absorbing)
+    kernel.validate()
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -109,35 +133,53 @@ def build_game_chain(n: int) -> SparseKernel:
     """Exact chain over reachable (pot, P1 stack, turn) states, k=2.
 
     P2's stack is pot-conservation-implied (2n - pot - stack).  Loss
-    states are absorbing and labelled by the eliminated player.
+    states are absorbing and labelled by the eliminated player.  The
+    spin rule is applied to the whole (pot, stack, turn) grid at once;
+    states are numbered in depth-first discovery order from the start,
+    after the two loss states.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
-    b = _Builder()
-    b.add(P_LOSS_1, absorbing=True)
-    b.add(P_LOSS_2, absorbing=True)
-    start = game_chain_start(n)
-    frontier = [start]
-    b.add(start)
-    while frontier:
-        state = frontier.pop()
-        i = b.index[state]
-        x, y, z = state
-        p2 = 2 * n - x - y
-        succ: dict[int, float] = {}
-        for outcome in (NISHT, GANZ, HALB, SHTEL):
-            nxt = _game_step(n, x, y, p2, z, outcome)
-            absorbing = nxt in (P_LOSS_1, P_LOSS_2)
-            known = nxt in b.index
-            j = b.add(nxt, absorbing=absorbing)
-            if not known and not absorbing:
-                frontier.append(nxt)
-            succ[j] = succ.get(j, 0.0) + 0.25
-        b.set_row(i, succ)
-    return b.kernel()
+    side = 2 * n + 1  # P1 stack in 0..2n; pot in 1..2n
+    x, y, z = (a.ravel() for a in np.meshgrid(np.arange(1, 2 * n + 1), np.arange(side), (1, 2), indexing="ij"))
+    loss1, loss2 = x.size, x.size + 1
+    p1 = z == 1
+    spinner = np.where(p1, y, 2 * n - x - y)
+    other = np.where(p1, 2 * n - x - y, y)
+    half = x // 2
+
+    def code(nx, ny):
+        return ((nx - 1) * side + ny) * 2 + (2 - z)  # the turn passes
+
+    spinner_loss = np.where(p1, loss1, loss2)
+    other_loss = np.where(p1, loss2, loss1)
+    # grid points with x + y > 2n are never reached, so their codes are never read
+    succ = np.stack([  # NISHT, GANZ, HALB, SHTEL: this order fixes the discovery order
+        code(x, y),
+        np.where(other == 0, other_loss, code(2, np.where(p1, y + x - 1, y - 1))),  # ante folded in
+        code(x - half, np.where(p1, y + half, y)),
+        np.where(spinner == 0, spinner_loss, code(x + 1, np.where(p1, y - 1, y))),
+    ])
+
+    start = (side + n - 1) * 2  # (2, n - 1, 1)
+    order = [-1] * (x.size + 2)  # kernel index of each grid code
+    order[loss1], order[loss2], order[start] = 0, 1, 2
+    found, stack, nxt = [start], [start], succ.T.tolist()
+    while stack:
+        for c in nxt[stack.pop()]:
+            if order[c] < 0:
+                order[c] = len(found) + 2
+                found.append(c)
+                stack.append(c)
+    states = [P_LOSS_1, P_LOSS_2] + list(zip(x[found].tolist(), y[found].tolist(), z[found].tolist()))
+    absorbing = np.zeros(len(states), dtype=bool)
+    absorbing[:2] = True
+    return _spin_kernel(states, np.arange(2, len(states)), np.array(order)[succ[:, found]], absorbing)
 
 
 def _game_step(n, x, y, p2, z, outcome):
+    """One spin from (x, y, z) with P2 holding p2: the scalar reference
+    for the rows of `build_game_chain`."""
     spinner_stack = y if z == 1 else p2
     other_stack = p2 if z == 1 else y
     if outcome == NISHT:
@@ -169,16 +211,9 @@ def build_pot_chain(x_max: int) -> SparseKernel:
     """Markov chain of pot sizes alone; Shtel at the cap self-loops."""
     if x_max < 4:
         raise ValueError("x_max >= 4 required")
-    b = _Builder()
-    for x in range(1, x_max + 1):
-        b.add(x)
-    for x in range(1, x_max + 1):
-        succ: dict[int, float] = {}
-        for nxt in (2, (x + 1) // 2, x, min(x + 1, x_max)):
-            j = b.index[nxt]
-            succ[j] = succ.get(j, 0.0) + 0.25
-        b.set_row(b.index[x], succ)
-    return b.kernel()
+    x = np.arange(1, x_max + 1)
+    succ = np.stack([np.full_like(x, 2), x - x // 2, x, np.minimum(x + 1, x_max)])  # Ganz, Halb, Nisht, Shtel
+    return _spin_kernel(x.tolist(), x - 1, succ - 1, np.zeros(x_max, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +281,23 @@ def mod_chain_step(spec: ModChainSpec, state: tuple[int, int, int], outcome: int
 
 
 def build_mod_chain(spec: ModChainSpec) -> SparseKernel:
-    b = _Builder()
-    for x in range(1, spec.p_max + 1):
-        for y in range(spec.lam):
-            for z in (1, 2):
-                b.add((x, y, z))
-    for state in list(b.states):
-        succ: dict[int, float] = {}
-        for outcome in (NISHT, GANZ, HALB, SHTEL):
-            j = b.index[mod_chain_step(spec, state, outcome)]
-            succ[j] = succ.get(j, 0.0) + 0.25
-        b.set_row(b.index[state], succ)
-    return b.kernel()
+    """The full (pot, y, turn) grid, numbered x-major then y then turn; the
+    rows apply `mod_chain_step` to every state at once."""
+    lam, cap = spec.lam, spec.p_max
+    x, y, z = (a.ravel() for a in np.meshgrid(np.arange(1, cap + 1), np.arange(lam), (1, 2), indexing="ij"))
+    p1 = (z == 1) | (spec.flavor == "formal")  # states whose spin moves P1's stack
+    half = x // 2
+    succ = np.stack([
+        ((nx - 1) * lam + ny % lam) * 2 + (2 - z)  # the turn passes
+        for nx, ny in (
+            (x, y),  # Nisht
+            (2, np.where(p1, y + x - 1, y - 1)),  # Ganz
+            (x - half, np.where(p1, y + half, y)),  # Halb
+            (np.minimum(x + 1, cap), np.where(p1, y - 1, y)),  # Shtel
+        )
+    ])
+    states = list(zip(x.tolist(), y.tolist(), z.tolist()))
+    return _spin_kernel(states, np.arange(x.size), succ, np.zeros(x.size, dtype=bool))
 
 
 def squared_slice_chain(kernel: SparseKernel, keep) -> tuple[sp.csr_matrix, list]:
@@ -266,7 +306,7 @@ def squared_slice_chain(kernel: SparseKernel, keep) -> tuple[sp.csr_matrix, list
     For the period-2 mod chain with keep = (z == 1) this is the chain
     with transition probabilities q_ij = (P^2)_ij, which is aperiodic.
     """
-    csr = kernel.to_csr()
+    csr = kernel.csr
     p2 = (csr @ csr).tocsr()
     idx = [i for i, s in enumerate(kernel.states) if keep(s)]
     sub = p2[idx, :][:, idx]
@@ -299,18 +339,16 @@ def matrix_period(csr: sp.csr_matrix) -> int:
             if level[j] < 0:
                 level[j] = level[u] + 1
                 queue.append(j)
-    g = 0
     rows, cols = csr.nonzero()
-    for u, v in zip(rows, cols):
-        if level[u] >= 0 and level[v] >= 0:
-            g = gcd(g, abs(int(level[u]) + 1 - int(level[v])))
+    seen = (level[rows] >= 0) & (level[cols] >= 0)
+    g = int(np.gcd.reduce(np.abs(level[rows[seen]] + 1 - level[cols[seen]])))
     return g if g else 1
 
 
 def diagnostics(kernel_or_csr, compute_stationary: bool = False,
                 tol: float = 1e-12, max_iter: int = 2_000_000) -> ChainDiagnostics:
     if isinstance(kernel_or_csr, SparseKernel):
-        csr = kernel_or_csr.to_csr()
+        csr = kernel_or_csr.csr
     else:
         csr = kernel_or_csr.tocsr()
     n_comp, _ = connected_components(csr, directed=True, connection="strong")
@@ -337,4 +375,4 @@ def power_iteration(csr: sp.csr_matrix, tol: float = 1e-12, max_iter: int = 2_00
         pi = nxt
         if residual < tol:
             return pi, float(np.abs(pt @ pi - pi).sum())
-    raise RuntimeError(f"power iteration did not reach {tol} in {max_iter} steps")
+    raise SolverError(f"power iteration did not reach {tol} in {max_iter} steps")

@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 ARTIFACT_VERSION = "0.1.0"
 
 
@@ -77,6 +79,10 @@ class BoundReport:
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, np.floating):
+        x = float(x)
+    elif isinstance(x, np.integer):
+        x = int(x)
     if isinstance(x, float):
         return repr(x)
     return str(x)

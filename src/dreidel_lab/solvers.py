@@ -8,18 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import splu
 
-from .kernels import SparseKernel
+from .kernels import SolverError, SparseKernel  # SolverError also covers the kernels' power iteration
 
 try:
     from gmpy2 import mpq as _rational
 except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
     _rational = Fraction
-
-
-class SolverError(RuntimeError):
-    pass
 
 
 def _refine(lu, a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, rounds: int = 2) -> np.ndarray:
@@ -31,14 +27,75 @@ def _refine(lu, a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, rounds: int = 2)
     return x
 
 
-def _solve_checked(a: sp.csr_matrix, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    lu = spla.splu(a.tocsc())
-    x = lu.solve(b)
-    x = _refine(lu, a, b, x)
-    resid = float(np.abs(b - a @ x).max())
-    if not np.isfinite(resid) or resid > tol * max(1.0, float(np.abs(x).max())):
-        raise SolverError(f"linear solve residual {resid} above tolerance")
-    return x
+def _describe(states) -> str:
+    shown = sorted(states, key=str)
+    more = f", ... ({len(shown)} states)" if len(shown) > 3 else ""
+    return "{" + ", ".join(map(str, shown[:3])) + more + "}"
+
+
+class RestrictedLU:
+    """One sparse LU of I - P restricted to the states off a boundary set.
+
+    With Q the kernel on the unknown states U = S minus the boundary,
+    G = (I - Q)^-1 is the Green's function of the chain stopped at the
+    boundary: G(x, a) is the expected number of visits to a before the
+    boundary is hit, so P_x(hit a before the boundary) = G(x, a) / G(a, a)
+    (Kemeny & Snell, *Finite Markov Chains*, 1960, ch. 4).  Every solve is
+    refined and residual-checked.
+    """
+
+    def __init__(self, kernel: SparseKernel, boundary, tol: float = 1e-12):
+        self.kernel = kernel
+        self.boundary = frozenset(boundary)
+        self.tol = tol
+        inner = np.ones(kernel.n_states, dtype=bool)
+        inner[[kernel.index[s] for s in self.boundary]] = False
+        self.unknown = np.flatnonzero(inner)
+        self._out = kernel.csr[self.unknown]  # rows leaving the unknown states
+        self.a = sp.identity(self.unknown.size, format="csr") - self._out[:, self.unknown]
+        try:
+            self.lu = splu(self.a.tocsc())
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(f"I - P off the boundary {_describe(self.boundary)}: {exc}") from None
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x on the unknown states with (I - Q) x = rhs."""
+        x = _refine(self.lu, self.a, rhs, self.lu.solve(rhs))
+        resid = float(np.abs(rhs - self.a @ x).max())
+        if not np.isfinite(resid) or resid > self.tol * max(1.0, float(np.abs(x).max())):
+            raise SolverError(
+                f"linear solve residual {resid} above tolerance off the boundary {_describe(self.boundary)}"
+            )
+        return x
+
+    def _on_states(self, x: np.ndarray, target_idx=()) -> np.ndarray:
+        values = np.zeros(self.kernel.n_states)
+        values[list(target_idx)] = 1.0
+        values[self.unknown] = x
+        return values
+
+    def harmonic(self, target) -> np.ndarray:
+        """P_x(hit `target` before the rest of the boundary) for every state
+        x: 1 on `target`, 0 on the rest of the boundary."""
+        if not self.boundary >= target:
+            raise ValueError("target must lie on the boundary")
+        idx = [self.kernel.index[s] for s in target]
+        rhs = np.asarray(self._out[:, idx].sum(axis=1)).ravel()
+        return self._on_states(self.solve(rhs), idx)
+
+    def green(self, state) -> np.ndarray:
+        """The column G(., state) for an unknown `state`, for every state
+        (0 on the boundary)."""
+        if state in self.boundary:
+            raise ValueError(f"{state} lies on the boundary")
+        e = np.zeros(self.unknown.size)
+        e[np.searchsorted(self.unknown, self.kernel.index[state])] = 1.0
+        return self._on_states(self.solve(e))
+
+
+def next_step_mean(kernel: SparseKernel, state, values: np.ndarray) -> float:
+    """E[values(X_1) | X_0 = state]."""
+    return float(sum(p * values[j] for j, p in kernel.rows[kernel.index[state]]))
 
 
 # ---------------------------------------------------------------------------
@@ -73,40 +130,15 @@ def absorption_stats(kernel: SparseKernel, start) -> AbsorptionResult:
     Solves t = 1 + Q t over the transient states; every transient state
     must reach an absorbing state.
     """
-    absorbing = kernel.absorbing
-    transient_idx = [i for i in range(kernel.n_states) if not absorbing[i]]
-    pos = {i: t for t, i in enumerate(transient_idx)}
-    m = len(transient_idx)
-    data, ri, ci = [], [], []
-    rhs_by_label: dict = {}
-    for t, i in enumerate(transient_idx):
-        for j, p in kernel.rows[i]:
-            if absorbing[j]:
-                label = kernel.states[j]
-                rhs_by_label.setdefault(label, np.zeros(m))[t] += p
-            else:
-                ri.append(t)
-                ci.append(pos[j])
-                data.append(p)
-    q = sp.csr_matrix((data, (ri, ci)), shape=(m, m))
-    a = sp.identity(m, format="csr") - q
-    lu = spla.splu(a.tocsc())
-    ones = np.ones(m)
-    times = _refine(lu, a, ones, lu.solve(ones))
-    resid = float(np.abs(ones - a @ times).max())
-    if not np.isfinite(resid) or resid > 1e-12 * max(1.0, float(np.abs(times).max())):
-        raise SolverError(f"absorption solve residual {resid}")
-    probs = {}
-    for label, rhs in sorted(rhs_by_label.items(), key=lambda kv: str(kv[0])):
-        probs[label] = _refine(lu, a, rhs, lu.solve(rhs))
-    result = AbsorptionResult(
+    labels = sorted((kernel.states[j] for j in np.flatnonzero(kernel.absorbing)), key=str)
+    lu = RestrictedLU(kernel, labels)
+    return AbsorptionResult(
         kernel=kernel,
-        transient=transient_idx,
-        times=times,
-        absorb_probs=probs,
+        transient=lu.unknown.tolist(),
+        times=lu.solve(np.ones(lu.unknown.size)),
+        absorb_probs={label: lu.harmonic({label})[lu.unknown] for label in labels},
         start=start,
     )
-    return result
 
 
 def absorption_time_exact(kernel: SparseKernel, start) -> Fraction:
@@ -181,43 +213,16 @@ class HitSolver:
         self.kernel = kernel
         self.target = target
         self.avoid = avoid
-        boundary = {kernel.index[s] for s in target | avoid}
-        target_idx = {kernel.index[s] for s in target}
-        unknown = [i for i in range(kernel.n_states) if i not in boundary]
-        pos = {i: u for u, i in enumerate(unknown)}
-        m = len(unknown)
-        data, ri, ci = [], [], []
-        b = np.zeros(m)
-        for u, i in enumerate(unknown):
-            for j, p in kernel.rows[i]:
-                if j in target_idx:
-                    b[u] += p
-                elif j in boundary:
-                    pass
-                else:
-                    ri.append(u)
-                    ci.append(pos[j])
-                    data.append(p)
-        p_uu = sp.csr_matrix((data, (ri, ci)), shape=(m, m))
-        a = sp.identity(m, format="csr") - p_uu
-        h = _solve_checked(a, b, tol=tol)
-        values = np.zeros(kernel.n_states)
-        for s in target:
-            values[kernel.index[s]] = 1.0
-        for u, i in enumerate(unknown):
-            values[i] = h[u]
-        self.values = values
+        self.values = RestrictedLU(kernel, target | avoid, tol=tol).harmonic(target)
 
     def prob(self, start, first_step_exempt: bool = False) -> float:
-        kernel = self.kernel
         if start in self.target:
             return 1.0
-        if start in self.avoid and not first_step_exempt:
-            return 0.0
         if first_step_exempt:
-            i = kernel.index[start]
-            return float(sum(p * self.values[j] for j, p in kernel.rows[i]))
-        return float(self.values[kernel.index[start]])
+            return next_step_mean(self.kernel, start, self.values)
+        if start in self.avoid:
+            return 0.0
+        return float(self.values[self.kernel.index[start]])
 
 
 def hit_prob(kernel: SparseKernel, query: HitQuery, tol: float = 1e-12) -> float:
@@ -231,18 +236,6 @@ def hit_prob(kernel: SparseKernel, query: HitQuery, tol: float = 1e-12) -> float
 
 def mean_return_time(kernel: SparseKernel, state, tol: float = 1e-12) -> float:
     """Expected number of steps to return to `state` (flow-through chain)."""
-    s = kernel.index[state]
-    unknown = [i for i in range(kernel.n_states) if i != s]
-    pos = {i: u for u, i in enumerate(unknown)}
-    m = len(unknown)
-    data, ri, ci = [], [], []
-    b = np.ones(m)
-    for u, i in enumerate(unknown):
-        for j, p in kernel.rows[i]:
-            if j != s:
-                ri.append(u)
-                ci.append(pos[j])
-                data.append(p)
-    a = sp.identity(m, format="csr") - sp.csr_matrix((data, (ri, ci)), shape=(m, m))
-    t = _solve_checked(a, b, tol=tol)
-    return float(1.0 + sum(p * (t[pos[j]] if j != s else 0.0) for j, p in kernel.rows[s]))
+    lu = RestrictedLU(kernel, {state}, tol=tol)
+    times = lu._on_states(lu.solve(np.ones(lu.unknown.size)))
+    return 1.0 + next_step_mean(kernel, state, times)

@@ -1,6 +1,8 @@
 """Acceptance gate: one test (and one printed pass/fail line) per criterion.
 
-Lines are printed to the real stdout so they survive pytest's capture.
+Lines are printed to the real stdout so they survive pytest's capture, each
+with the criterion's elapsed time; the payoff samples that criteria 3-6
+share are drawn once, before criterion 3's clock starts.
 """
 
 import math
@@ -33,8 +35,17 @@ SEED = 2026
 EPOCHS = 1_000_000
 
 
+_started = [0.0]
+
+
+@pytest.fixture(autouse=True)
+def _clock():
+    _started[0] = time.perf_counter()
+
+
 def criterion(num: int, desc: str, ok: bool) -> None:
-    line = f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'}  {desc}"
+    elapsed = time.perf_counter() - _started[0]
+    line = f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'}  {desc} [{elapsed:.2f}s]"
     conftest.criterion_lines.append(line)
     print(line, file=sys.__stdout__, flush=True)
     assert ok, line

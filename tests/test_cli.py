@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dreidel_lab import construction, hitting_bounds, montecarlo, solvers
+from dreidel_lab import construction, hitting_bounds, kernels, montecarlo, solvers
 from dreidel_lab.cli import main
 from dreidel_lab.game import SpinCapExceeded
 
@@ -68,6 +68,19 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"error: {exc.__name__}: check failed\n"
+
+
+    def test_unconverged_power_iteration_exits_3(self, tmp_path, capsys, monkeypatch):
+        power_iteration = kernels.power_iteration
+
+        def one_step(csr, tol, max_iter):
+            return power_iteration(csr, tol=tol, max_iter=1)
+
+        monkeypatch.setattr(kernels, "power_iteration", one_step)
+        code, _ = run(tmp_path, ["pot-chain", "--xmax", "20"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: SolverError: power iteration did not reach") and "in 1 steps" in err
 
 
 class TestOutputs:

@@ -1,9 +1,13 @@
 """Hitting-bound tables and chain identity checks."""
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from dreidel_lab import hitting_bounds as hb
-from dreidel_lab.kernels import ModChainSpec
+from dreidel_lab import solvers
+from dreidel_lab.kernels import ModChainSpec, build_mod_chain
+from dreidel_lab.solvers import HitSolver
 
 
 class TestStableQuantities:
@@ -70,3 +74,79 @@ class TestIdentities:
                         x3, y3, z3 = mod_chain_step(spec, (x, (y + m) % lam, z), o)
                         assert (x3, z3) == (x2, z2)
                         assert y3 == (y2 + m) % lam
+
+
+def _quantities_per_query(spec: ModChainSpec) -> dict[str, float]:
+    """The bound-table quantities with one HitSolver per query, and mu0 by
+    Kac's formula 1/pi(s0) from a dense stationary solve."""
+    n, lam = spec.n, spec.lam
+    kernel = build_mod_chain(spec)
+    y1 = (n - 1) % lam
+    s0 = spec.start
+    out = {}
+    for m in range(1, n + 2):
+        out[f"A_{m}"] = HitSolver(kernel, frozenset({(2, (y1 + m) % lam, 2)}),
+                                  frozenset({(2, (y1 - 1) % lam, 1)})).prob(s0)
+        out[f"B_{m}"] = HitSolver(kernel, frozenset({(2, (y1 - m) % lam, 2)}),
+                                  frozenset({(2, (y1 + 1) % lam, 1)})).prob(s0)
+    s1 = frozenset({(2, (n - 1) % lam, 1), (2, (n - 2) % lam, 1)})
+    s2 = frozenset({(2, (n - 1) % lam, 1), (2, n % lam, 1)})
+    out["omega1"] = HitSolver(kernel, frozenset({(2, n % lam, 1)}), s1).prob(s0, first_step_exempt=True)
+    out["omega2"] = HitSolver(kernel, frozenset({(2, (n - 2) % lam, 1)}), s2).prob(s0, first_step_exempt=True)
+    ends = frozenset(spec.end_states())
+    out["p_f"] = HitSolver(kernel, ends, frozenset({s0})).prob(s0, first_step_exempt=True)
+    a = kernel.csr.toarray().T - np.eye(kernel.n_states)
+    a[-1] = 1.0
+    rhs = np.zeros(kernel.n_states)
+    rhs[-1] = 1.0
+    out["mu0"] = 1.0 / np.linalg.solve(a, rhs)[kernel.index[s0]]
+    return out
+
+
+class TestGroupedSolves:
+    @pytest.mark.parametrize("flavor", ["game", "formal"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_quantities_match_per_query_oracle(self, n, flavor):
+        spec = ModChainSpec(n=n, p_max=8 * n, flavor=flavor)
+        got = hb._quantities(spec)
+        want = _quantities_per_query(spec)
+        assert got.keys() == want.keys()
+        assert all(type(v) is float for v in got.values())
+        for name, v in got.items():
+            assert abs(v - want[name]) < (1e-10 * want[name] if name == "mu0" else 1e-12), name
+
+    @pytest.fixture
+    def lu_count(self, monkeypatch):
+        calls = []
+
+        def counting_splu(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "splu", counting_splu)
+        return calls
+
+    def test_quantities_factor_five_times(self, lu_count):
+        hb._quantities(ModChainSpec(n=4, p_max=32))
+        assert len(lu_count) == 5
+
+    def test_identity_checks_factor_once_per_avoid_state(self, lu_count):
+        n = 8
+        hb.identity_checks(n, "game", n_queries=100)
+        assert len(lu_count) <= 2 * (2 * n + 3)
+
+    def test_complementary_pair_uses_two_factorizations(self, monkeypatch, lu_count):
+        columns = []  # (factorization number, boundary, column state)
+        green = solvers.RestrictedLU.green
+
+        def spy(self, state):
+            columns.append((len(lu_count), self.boundary, state))
+            return green(self, state)
+
+        monkeypatch.setattr(solvers.RestrictedLU, "green", spy)
+        hb.identity_checks(5, "game", n_queries=1, seed=3)
+        assert len(columns) == 4
+        # p = P(hit a before b) and p_swap = P(hit b before a)
+        pairs = [(u, v) for u in columns for v in columns
+                 if u[1] == frozenset({v[2]}) and v[1] == frozenset({u[2]})]
+        assert pairs and all(u[0] != v[0] for u, v in pairs)

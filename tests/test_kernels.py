@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from conftest import toy_kernel
 from dreidel_lab import kernels
 from dreidel_lab.kernels import (
     P_LOSS_1,
     P_LOSS_2,
     ModChainSpec,
+    SolverError,
+    SparseKernel,
     build_game_chain,
     build_mod_chain,
     build_pot_chain,
     diagnostics,
     game_chain_start,
     mod_chain_step,
+    power_iteration,
     squared_slice_chain,
 )
 from dreidel_lab.rng import GANZ, HALB, NISHT, SHTEL
@@ -139,21 +144,97 @@ class TestModChain:
 
 class TestDiagnosticsToy:
     def test_two_state_flip(self):
-        b = kernels._Builder()
-        b.add("a")
-        b.add("b")
-        b.set_row(0, {1: 1.0})
-        b.set_row(1, {0: 1.0})
-        diag = diagnostics(b.kernel())
+        diag = diagnostics(toy_kernel("ab", {"a": {"b": 1.0}, "b": {"a": 1.0}}))
         assert diag.irreducible and diag.period == 2
 
     def test_lazy_chain_stationary(self):
         # stay w.p. 1/2 else flip: stationary (1/2, 1/2)
-        b = kernels._Builder()
-        b.add("a")
-        b.add("b")
-        b.set_row(0, {0: 0.5, 1: 0.5})
-        b.set_row(1, {0: 0.5, 1: 0.5})
-        diag = diagnostics(b.kernel(), compute_stationary=True)
+        kernel = toy_kernel("ab", {"a": {"a": 0.5, "b": 0.5}, "b": {"a": 0.5, "b": 0.5}})
+        diag = diagnostics(kernel, compute_stationary=True)
         assert diag.period == 1
         assert np.allclose(diag.stationary, [0.5, 0.5], atol=1e-10)
+
+    def test_power_iteration_failure_is_solver_error(self):
+        with pytest.raises(SolverError, match="in 1 steps"):
+            power_iteration(build_pot_chain(16).csr, max_iter=1)
+
+
+def _quarter_rows(step, states) -> dict:
+    """{state: {successor: probability}} from a scalar one-spin rule."""
+    rows = {}
+    for s in states:
+        row = rows.setdefault(s, {})
+        for outcome in (NISHT, GANZ, HALB, SHTEL):
+            t = step(s, outcome)
+            row[t] = row.get(t, 0.0) + 0.25
+    return rows
+
+
+class TestRowsMatchScalarRules:
+    """Every CSR row against the successors recomputed state by state."""
+
+    @pytest.mark.parametrize("flavor", ["game", "formal"])
+    @pytest.mark.parametrize("n, p_max", [(3, 12), (4, 32)])
+    def test_mod_chain(self, n, p_max, flavor):
+        spec = ModChainSpec(n=n, p_max=p_max, flavor=flavor)
+        kernel = build_mod_chain(spec)
+        assert kernel.n_states == p_max * spec.lam * 2
+        want = _quarter_rows(lambda s, o: mod_chain_step(spec, s, o), kernel.states)
+        assert all(dict(kernel.successors(s)) == want[s] for s in kernel.states)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_game_chain(self, n):
+        kernel = build_game_chain(n)
+        live = [s for s in kernel.states if s not in (P_LOSS_1, P_LOSS_2)]
+        want = _quarter_rows(lambda s, o: kernels._game_step(n, s[0], s[1], 2 * n - s[0] - s[1], s[2], o), live)
+        assert kernel.states[:3] == [P_LOSS_1, P_LOSS_2, game_chain_start(n)]
+        assert all(dict(kernel.successors(s)) == want[s] for s in live)
+        # exactly the states reachable from the start, loss states absorbing
+        reached, stack = {game_chain_start(n)}, [game_chain_start(n)]
+        while stack:
+            for t in want[stack.pop()]:
+                if t not in reached and t not in (P_LOSS_1, P_LOSS_2):
+                    reached.add(t)
+                    stack.append(t)
+        assert set(live) == reached
+        assert kernel.successors(P_LOSS_1) == [] and kernel.absorbing.tolist() == [True, True] + [False] * len(live)
+
+    def test_pot_chain(self):
+        x_max = 40
+        kernel = build_pot_chain(x_max)
+        want = _quarter_rows(lambda x, o: {NISHT: x, GANZ: 2, HALB: x - x // 2, SHTEL: min(x + 1, x_max)}[o],
+                             range(1, x_max + 1))
+        assert kernel.states == list(range(1, x_max + 1))
+        assert all(dict(kernel.successors(x)) == want[x] for x in kernel.states)
+
+    def test_row_view(self):
+        kernel = build_pot_chain(10)
+        assert len(kernel.rows) == 10
+        assert kernel.rows[-1] == kernel.rows[9] == [(1, 0.25), (4, 0.25), (9, 0.5)]  # pot 10: 2, 5, 10
+        assert sum(len(r) for r in kernel.rows) == kernel.csr.nnz
+        kernel.rows[3] = [(5, 0.5), (0, 0.25), (5, 0.25)]  # duplicates are summed
+        assert kernel.rows[3] == [(0, 0.25), (5, 0.75)]
+        assert dict(kernel.successors(4)) == {1: 0.25, 6: 0.75}
+        assert kernel.rows[2] == [(1, 0.5), (2, 0.25), (3, 0.25)] and kernel.rows[9][-1] == (9, 0.5)
+        kernel.validate()
+
+
+class TestValidate:
+    def _kernel(self, rows, absorbing=(False, False)):
+        csr = sp.csr_matrix(np.array(rows, dtype=float))
+        return SparseKernel(states=["a", "b"], csr=csr, absorbing=np.array(absorbing))
+
+    def test_accepts_stochastic_rows(self):
+        self._kernel([[0.5, 0.5], [0.0, 1.0]]).validate()
+
+    def test_rejects_nonpositive_probability(self):
+        with pytest.raises(ValueError, match="row b has a nonpositive"):
+            self._kernel([[0.5, 0.5], [-0.5, 1.5]]).validate()
+
+    def test_rejects_bad_row_sum(self):
+        with pytest.raises(ValueError, match="row a sums to 0.75"):
+            self._kernel([[0.5, 0.25], [0.0, 1.0]]).validate()
+
+    def test_rejects_absorbing_row_with_successors(self):
+        with pytest.raises(ValueError, match="absorbing state b has successors"):
+            self._kernel([[0.5, 0.5], [0.0, 1.0]], absorbing=(False, True)).validate()

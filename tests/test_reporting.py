@@ -1,5 +1,6 @@
 """BoundReport plumbing and deterministic output formatting."""
 
+import numpy as np
 import pytest
 
 from dreidel_lab import reporting as rp
@@ -31,6 +32,14 @@ class TestBoundReport:
         assert lines[0].startswith("# runspec: ")
         assert lines[1].startswith("# artifact-version: ")
         assert lines[2] == "name,paper_bound,measured,margin,verdict"
+
+    def test_numpy_scalars_are_plain_numbers(self):
+        assert rp._fmt(np.float64(0.3)) == "0.3" == rp._fmt(0.3)
+        assert rp._fmt(np.float32(0.5)) == "0.5"
+        assert rp._fmt(np.int64(7)) == "7"
+        rep = rp.BoundReport("t")
+        rep.check_ge("a", np.float64(0.3), 0.25)
+        assert rep.to_csv({"cmd": "x"}).splitlines()[3] == f"a,0.25,0.3,{0.3 - 0.25!r},pass"
 
 
 class TestEmission:

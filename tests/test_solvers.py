@@ -1,14 +1,20 @@
 """Linear solvers against closed-form oracles (gambler's ruin, toy chains)."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dreidel_lab.kernels import SparseKernel, _Builder, build_game_chain, game_chain_start
+from conftest import toy_kernel
+from dreidel_lab import kernels, solvers
+from dreidel_lab.kernels import ModChainSpec, build_game_chain, build_mod_chain, game_chain_start
 from dreidel_lab.solvers import (
     HitQuery,
     HitSolver,
+    RestrictedLU,
     SolverError,
     absorption_stats,
     absorption_time_exact,
@@ -20,25 +26,18 @@ from dreidel_lab.solvers import (
 
 def walk_kernel(n, p=0.5, absorbing_ends=True):
     """Simple random walk on 0..n, +1 w.p. p, -1 w.p. 1-p."""
-    b = _Builder()
+    ends = (0, n) if absorbing_ends else ()
+    rows = {}
     for i in range(n + 1):
-        b.add(i, absorbing=absorbing_ends and i in (0, n))
-    for i in range(n + 1):
-        if absorbing_ends and i in (0, n):
-            continue
-        lo = max(i - 1, 0)
-        hi = min(i + 1, n)
-        b.set_row(b.index[i], {b.index[hi]: p, b.index[lo]: 1 - p})
-    return b.kernel()
+        if i not in ends:
+            lo, hi = max(i - 1, 0), min(i + 1, n)
+            rows[i] = {hi: p, lo: 1 - p}
+    return toy_kernel(range(n + 1), rows, absorbing=ends)
 
 
 class TestAbsorption:
     def test_immediate_absorption(self):
-        b = _Builder()
-        b.add("t")
-        b.add("a", absorbing=True)
-        b.set_row(0, {1: 1.0})
-        res = absorption_stats(b.kernel(), "t")
+        res = absorption_stats(toy_kernel(["t", "a"], {"t": {"a": 1.0}}, absorbing={"a"}), "t")
         assert abs(res.expected_time - 1.0) < 1e-12
         assert abs(res.absorb_prob_from("t", "a") - 1.0) < 1e-12
 
@@ -137,18 +136,60 @@ class TestHitProb:
 class TestMeanReturn:
     def test_two_state(self):
         # a -> b w.p. 1, b -> a w.p. 1: return time 2
-        b = _Builder()
-        b.add("a")
-        b.add("b")
-        b.set_row(0, {1: 1.0})
-        b.set_row(1, {0: 1.0})
-        assert abs(mean_return_time(b.kernel(), "a") - 2.0) < 1e-12
+        kernel = toy_kernel("ab", {"a": {"b": 1.0}, "b": {"a": 1.0}})
+        assert abs(mean_return_time(kernel, "a") - 2.0) < 1e-12
 
     def test_lazy_state(self):
         # stay w.p. 1/2: stationary uniform, return time = 2
-        b = _Builder()
-        b.add("a")
-        b.add("b")
-        b.set_row(0, {0: 0.5, 1: 0.5})
-        b.set_row(1, {0: 0.5, 1: 0.5})
-        assert abs(mean_return_time(b.kernel(), "a") - 2.0) < 1e-12
+        kernel = toy_kernel("ab", {"a": {"a": 0.5, "b": 0.5}, "b": {"a": 0.5, "b": 0.5}})
+        assert abs(mean_return_time(kernel, "a") - 2.0) < 1e-12
+
+
+@lru_cache(maxsize=None)
+def _small_mod_chain(n, flavor):
+    return build_mod_chain(ModChainSpec(n=n, p_max=4 * n, flavor=flavor))
+
+
+class TestRestrictedLU:
+    def test_solver_error_is_shared(self):
+        assert kernels.SolverError is solvers.SolverError
+
+    def test_singular_boundary_is_solver_error(self):
+        # "c" is a closed class off the boundary {a, b}, so I - Q is singular
+        kernel = toy_kernel("abc", {"a": {"b": 0.5, "c": 0.5}, "b": {"a": 1.0}, "c": {"c": 1.0}})
+        with pytest.raises(SolverError, match=r"boundary \{a, b\}"):
+            HitSolver(kernel, frozenset({"b"}), frozenset({"a"}))
+
+    def test_harmonic_is_hit_solver(self):
+        kernel = walk_kernel(9, p=0.3, absorbing_ends=False)
+        h = RestrictedLU(kernel, {0, 9}).harmonic({9})
+        assert (h == HitSolver(kernel, frozenset({9}), frozenset({0})).values).all()
+
+    def test_green_closed_form(self):
+        # symmetric walk killed at 0 and n: G(x, a) = 2 min(x, a) (n - max(x, a)) / n
+        n = 10
+        lu = RestrictedLU(walk_kernel(n), {0, n})
+        for a in range(1, n):
+            g = lu.green(a)
+            for x in range(n + 1):
+                assert abs(g[x] - 2 * min(x, a) * (n - max(x, a)) / n) < 1e-10
+
+    def test_green_rejects_boundary_state(self):
+        with pytest.raises(ValueError):
+            RestrictedLU(walk_kernel(4), {0, 4}).green(0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 4), flavor=st.sampled_from(["game", "formal"]), anywhere=st.booleans(),
+           data=st.data())
+    def test_green_ratio_is_hit_probability(self, n, flavor, anywhere, data):
+        # P_x(tau_a < tau_b) = G_b(x, a) / G_b(a, a) on small mod chains.  On
+        # pot-2 states, where the bound tables and identity checks query, the
+        # two routes agree to rounding.  Elsewhere (I - Q) can have condition
+        # numbers near 4e7 at these caps, and both float routes then sit up
+        # to ~1e-9 from a long-double-refined solution.
+        kernel = _small_mod_chain(n, flavor)
+        pool = kernel.states if anywhere else [s for s in kernel.states if s[0] == 2]
+        x, a, b = data.draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3, unique=True))
+        g = RestrictedLU(kernel, {b}).green(a)
+        want = HitSolver(kernel, frozenset({a}), frozenset({b})).prob(x)
+        assert abs(g[kernel.index[x]] / g[kernel.index[a]] - want) < (1e-8 if anywhere else 1e-12)
