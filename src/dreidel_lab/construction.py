@@ -4,6 +4,10 @@ The four-phase construction drives any overdraft configuration to a
 balanced boundary, stacks up guaranteed epochs with all-Ganz rounds,
 burns spins in zero-payoff gamelet blocks, and closes with a Shtel
 staircase so the last player wins on the final spin of spin ks exactly.
+
+The low-epoch count behind the construction's counting bound is exact:
+a dynamic program over (pot, last player's stack, epochs) in place of
+enumerating all 4^(ks) outcome sequences.
 """
 
 from __future__ import annotations
@@ -231,7 +235,7 @@ def validate_constructed(start: GameState, n: int, outcomes: list[int], t_s: int
 
 
 # ---------------------------------------------------------------------------
-# exhaustive low-epoch counting
+# exact low-epoch counting (dynamic program)
 
 
 @dataclass
@@ -260,57 +264,46 @@ def low_epoch_bound(k: int, s: int, t_s: int) -> int:
     return 4 ** (s * (k - 1)) * sum(math.comb(s, r) * 3 ** (s - r) for r in range(t_s))
 
 
-def count_low_epoch_games(k: int, s: int, t_s: int, n: int, max_ks: int = 12,
-                          chunk: int = 1 << 20) -> LowEpochCount:
-    """Brute-force every outcome sequence of k*s spins and count the
-    games where the last player goes home exactly at spin k*s, split by
-    epoch count.
+def count_low_epoch_games(k: int, s: int, t_s: int, n: int) -> LowEpochCount:
+    """Count the outcome sequences of k*s spins, from the overdraft start
+    with n tokens each, in which the last player goes home exactly at
+    spin k*s, split by epoch count.
 
-    Enumeration runs in vectorized chunks over the base-4 encoding of
-    the sequence; only the pot and the last player's stack matter.
+    Exact dynamic program (Python integers) over the only state a prefix
+    carries: the pot, the last player's stack w and the epochs so far.
+    A path is dropped once the last player goes home (w < 0 or
+    w > k(n-1) at the end of an epoch) before spin k*s; at spin k*s only
+    a Ganz that sends the last player home is kept.
     """
+    for name, value, least in (("k", k, 2), ("s", s, 1), ("n", n, 1), ("t_s", t_s, 0)):
+        if value < least:
+            raise ValueError(f"need {name} >= {least}, got {name}={value}")
     ks = k * s
-    if ks > max_ks:
-        raise ValueError(f"k*s = {ks} too large to enumerate")
     upper = k * (n - 1)
-    total_seqs = 4**ks
+    layer: dict[tuple[int, int, int], int] = {(k, n - 1, 0): 1}
+    for t in range(ks):
+        mine = t % k == k - 1  # the last player spins
+        final = t == ks - 1  # always the last player's spin
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (pot, w, epochs), cnt in layer.items():
+            half = pot // 2
+            # successors under Ganz (the spinner takes the pot, then everyone
+            # antes), Nisht, Halb and Shtel
+            if not mine:
+                succ = [(k, w - 1, epochs), (pot, w, epochs), (pot - half, w, epochs), (pot + 1, w, epochs)]
+            else:
+                w2 = w + pot - 1  # a Ganz here ends an epoch
+                gone = w2 < 0 or w2 > upper
+                succ = [(k, w2, epochs + 1)] if gone == final else []
+                if not final:
+                    succ += [(pot, w, epochs), (pot - half, w + half, epochs), (pot + 1, w - 1, epochs)]
+            for key in succ:
+                nxt[key] = nxt.get(key, 0) + cnt
+        layer = nxt
     by_epochs: dict[int, int] = {}
-    for lo in range(0, total_seqs, chunk):
-        size = min(chunk, total_seqs - lo)
-        idx = np.arange(lo, lo + size, dtype=np.int64)
-        pot = np.full(size, k, dtype=np.int64)
-        w = np.full(size, n - 1, dtype=np.int64)
-        epochs = np.zeros(size, dtype=np.int64)
-        alive = np.ones(size, dtype=bool)
-        went_home = np.zeros(size, dtype=bool)
-        for t in range(ks):
-            o = (idx >> (2 * t)) & 3
-            last_player = t % k == k - 1
-            gm = o == GANZ
-            hm = o == HALB
-            sm = o == SHTEL
-            if last_player:
-                w[gm] += pot[gm]
-                w[hm] += pot[hm] // 2
-                w[sm] -= 1
-            w[gm] -= 1  # everyone antes after a Ganz
-            pot[gm] = k
-            pot[hm] -= pot[hm] // 2
-            pot[sm] += 1
-            if last_player:
-                ends = gm & alive
-                out = ends & ((w < 0) | (w > upper))
-                if t == ks - 1:
-                    went_home = out
-                    epochs[ends] += 1
-                else:
-                    alive &= ~out  # game over before spin ks
-                    epochs[ends & alive] += 1
-        valid = went_home & alive
-        counts = np.bincount(epochs[valid]) if valid.any() else np.array([], dtype=np.int64)
-        for e, c in enumerate(counts):
-            if c:
-                by_epochs[e] = by_epochs.get(e, 0) + int(c)
+    for (_, _, epochs), cnt in layer.items():
+        by_epochs[epochs] = by_epochs.get(epochs, 0) + cnt
+    by_epochs = dict(sorted(by_epochs.items()))
     total = sum(by_epochs.values())
     low = sum(c for e, c in by_epochs.items() if e < t_s)
     return LowEpochCount(

@@ -245,13 +245,16 @@ def test_criterion_13_construction():
                 g = cx.construct_long_game(k, n, s, rng=make_generator(SEED))
                 ok &= g.total_spins == k * s
                 ok &= g.epochs >= math.floor(g.plan.alpha * s)
-    # exhaustive low-epoch bound, k=2, s <= 6
-    for s in range(1, 7):
-        for t_s in (0, 1, min(2, s)):
-            res = cx.count_low_epoch_games(2, s, t_s, 3)
-            ok &= res.bound_holds
+    # exact low-epoch bound for every t_s in 0..s; by_epochs does not depend on t_s
+    for k in (2, 3, 4):
+        for s in range(1, 13):
+            by_epochs = cx.count_low_epoch_games(k, s, 0, 3).by_epochs
+            for t_s in range(s + 1):
+                low = sum(c for e, c in by_epochs.items() if e < t_s)
+                ok &= low <= cx.low_epoch_bound(k, s, t_s)
     criterion(13, "restorative endpoints valid (length <= 6kn), construction grid legal "
-                  "with >= floor(alpha s) epochs, exhaustive low-epoch bound k=2 s<=6", ok)
+                  "with >= floor(alpha s) epochs, exact low-epoch bound k=2..4 s<=12 "
+                  "every t_s<=s", ok)
 
 
 def test_criterion_14_cli_reproducibility(tmp_path):

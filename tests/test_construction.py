@@ -1,14 +1,15 @@
-"""Four-phase construction and exhaustive low-epoch counting."""
+"""Four-phase construction and exact low-epoch counting."""
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from dreidel_lab import construction as cx
 from dreidel_lab.epochs import new_custom
 from dreidel_lab.game import GameConfig, GameState, Spin, apply_spin
-from dreidel_lab.rng import GANZ, SHTEL, make_generator
+from dreidel_lab.rng import GANZ, HALB, SHTEL, make_generator
 
 
 def overdraft_state(k, pot, stacks, turn=0):
@@ -123,11 +124,62 @@ def brute_force_low_epoch(k, s, t_s, n):
     return by_epochs
 
 
+def vectorized_low_epoch(k, s, n):
+    """Oracle: enumerate all 4^(ks) sequences in vectorized chunks over
+    their base-4 encoding, tracking only the pot and the last player's
+    stack (the counter's former brute force; fast enough for ks <= 8)."""
+    ks = k * s
+    upper = k * (n - 1)
+    total_seqs = 4**ks
+    chunk = 1 << 20
+    by_epochs = {}
+    for lo in range(0, total_seqs, chunk):
+        size = min(chunk, total_seqs - lo)
+        idx = np.arange(lo, lo + size, dtype=np.int64)
+        pot = np.full(size, k, dtype=np.int64)
+        w = np.full(size, n - 1, dtype=np.int64)
+        epochs = np.zeros(size, dtype=np.int64)
+        alive = np.ones(size, dtype=bool)
+        went_home = np.zeros(size, dtype=bool)
+        for t in range(ks):
+            o = (idx >> (2 * t)) & 3
+            last_player = t % k == k - 1
+            gm = o == GANZ
+            hm = o == HALB
+            sm = o == SHTEL
+            if last_player:
+                w[gm] += pot[gm]
+                w[hm] += pot[hm] // 2
+                w[sm] -= 1
+            w[gm] -= 1  # everyone antes after a Ganz
+            pot[gm] = k
+            pot[hm] -= pot[hm] // 2
+            pot[sm] += 1
+            if last_player:
+                ends = gm & alive
+                out = ends & ((w < 0) | (w > upper))
+                if t == ks - 1:
+                    went_home = out
+                    epochs[ends] += 1
+                else:
+                    alive &= ~out  # game over before spin ks
+                    epochs[ends & alive] += 1
+        valid = went_home & alive
+        counts = np.bincount(epochs[valid]) if valid.any() else np.array([], dtype=np.int64)
+        for e, c in enumerate(counts):
+            if c:
+                by_epochs[e] = by_epochs.get(e, 0) + int(c)
+    return by_epochs
+
+
+SMALL_KS = [(k, s) for k in range(2, 7) for s in range(1, 4) if k * s <= 6]
+
+
 class TestLowEpochCounting:
     def test_bound_formula(self):
         assert cx.low_epoch_bound(2, 5, 2) == 4**5 * (3**5 + 5 * 3**4)
 
-    @pytest.mark.parametrize("k,s,n", [(2, 2, 2), (2, 3, 2), (2, 3, 3)])
+    @pytest.mark.parametrize("k,s,n", [(k, s, n) for k, s in SMALL_KS for n in (2, 3, 4)])
     def test_matches_engine_brute_force(self, k, s, n):
         t_s = 2
         got = cx.count_low_epoch_games(k, s, t_s, n)
@@ -135,6 +187,20 @@ class TestLowEpochCounting:
         assert got.by_epochs == expect
         assert got.total_games == sum(expect.values())
         assert got.low_epoch_games == sum(c for e, c in expect.items() if e < t_s)
+
+    @pytest.mark.parametrize("k,s,n", [(k, s, n) for k, s in ((2, 4), (4, 2)) for n in (2, 3, 4)])
+    def test_matches_vectorized_enumeration(self, k, s, n):
+        expect = vectorized_low_epoch(k, s, n)
+        assert expect
+        assert cx.count_low_epoch_games(k, s, 2, n).by_epochs == expect
+
+    @pytest.mark.parametrize("k,s,n", [(2, 5, 3), (3, 3, 2), (4, 2, 4)])
+    def test_by_epochs_does_not_depend_on_t_s(self, k, s, n):
+        results = [cx.count_low_epoch_games(k, s, t_s, n) for t_s in range(s + 2)]
+        for res in results:
+            assert res.by_epochs == results[0].by_epochs
+            assert res.total_games == results[0].total_games
+            assert res.low_epoch_games == sum(c for e, c in res.by_epochs.items() if e < res.t_s)
 
     def test_bound_holds(self):
         res = cx.count_low_epoch_games(2, 4, 2, 2)
@@ -144,6 +210,9 @@ class TestLowEpochCounting:
         res = cx.count_low_epoch_games(2, 3, 0, 2)
         assert res.low_epoch_games == 0
 
-    def test_too_large(self):
-        with pytest.raises(ValueError):
-            cx.count_low_epoch_games(2, 10, 2, 2)
+    @pytest.mark.parametrize("args,name", [
+        ((1, 3, 2, 2), "k"), ((2, 0, 2, 2), "s"), ((2, 3, -1, 2), "t_s"), ((2, 3, 2, 0), "n"),
+    ])
+    def test_bad_inputs(self, args, name):
+        with pytest.raises(ValueError, match=rf"\b{name}="):
+            cx.count_low_epoch_games(*args)
