@@ -136,13 +136,12 @@ def cmd_hitprob(args) -> int:
     spec = kernels.ModChainSpec(n=args.n, p_max=args.pmax or 8 * args.n, flavor=args.flavor)
     kernel = kernels.build_mod_chain(spec)
     lam = spec.lam
-    query = solvers.HitQuery(
-        start=(2, args.y1 % lam, args.z1),
+    solver = solvers.HitSolver(
+        kernel,
         target=frozenset({(2, args.y2 % lam, args.z2)}),
         avoid=frozenset({(2, args.y3 % lam, args.z3)}),
-        first_step_exempt=args.exempt,
     )
-    prob = solvers.hit_prob(kernel, query)
+    prob = solver.prob((2, args.y1 % lam, args.z1), first_step_exempt=args.exempt)
     _emit(
         args,
         _runspec(args),

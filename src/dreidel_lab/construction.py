@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import GameConfig, GameState, Spin, apply_spin
+from .game import GameConfig, GameState, Spin, apply_spin, overdraft_spins
 from .epochs import new_custom
 from .gamelets import choose_alpha, random_gamelet
 from .rng import GANZ, HALB, NISHT, SHTEL
@@ -253,12 +253,6 @@ class LowEpochCount:
     def bound_holds(self) -> bool:
         return self.low_epoch_games <= self.bound
 
-    @property
-    def mean_epochs(self) -> float:
-        if not self.total_games:
-            return float("nan")
-        return sum(e * c for e, c in self.by_epochs.items()) / self.total_games
-
 
 def low_epoch_bound(k: int, s: int, t_s: int) -> int:
     return 4 ** (s * (k - 1)) * sum(math.comb(s, r) * 3 ** (s - r) for r in range(t_s))
@@ -286,18 +280,14 @@ def count_low_epoch_games(k: int, s: int, t_s: int, n: int) -> LowEpochCount:
         final = t == ks - 1  # always the last player's spin
         nxt: dict[tuple[int, int, int], int] = {}
         for (pot, w, epochs), cnt in layer.items():
-            half = pot // 2
-            # successors under Ganz (the spinner takes the pot, then everyone
-            # antes), Nisht, Halb and Shtel
-            if not mine:
-                succ = [(k, w - 1, epochs), (pot, w, epochs), (pot - half, w, epochs), (pot + 1, w, epochs)]
-            else:
-                w2 = w + pot - 1  # a Ganz here ends an epoch
-                gone = w2 < 0 or w2 > upper
-                succ = [(k, w2, epochs + 1)] if gone == final else []
-                if not final:
-                    succ += [(pot, w, epochs), (pot - half, w + half, epochs), (pot + 1, w - 1, epochs)]
-            for key in succ:
+            for pot2, gain, ante in overdraft_spins(pot, k):
+                if not mine:  # only an ante moves w
+                    key = (pot2, w - ante, epochs)
+                else:  # the last player's Ganz, the one spin with an ante, ends an epoch
+                    w2 = w + gain - ante
+                    if (ante == 1 and not 0 <= w2 <= upper) != final:  # home exactly at spin ks
+                        continue
+                    key = (pot2, w2, epochs + ante)
                 nxt[key] = nxt.get(key, 0) + cnt
         layer = nxt
     by_epochs: dict[int, int] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cache
 
 from .rng import OUTCOME_LETTERS, CODE_BY_LETTER
 
@@ -199,6 +200,15 @@ def halb_split(pot: int) -> tuple[int, int]:
         raise ValueError("pot must be nonnegative")
     taken = pot // 2
     return taken, pot - taken
+
+
+@cache
+def overdraft_spins(pot: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """Every overdraft spin from `pot` with k players, indexed by outcome
+    code: (pot after the spin, the spinner's gain, the ante everyone pays).
+    A Ganz empties the pot and all k players ante at once."""
+    taken, remaining = halb_split(pot)
+    return (pot, 0, 0), (k, pot, 1), (remaining, taken, 0), (pot + 1, -1, 0)
 
 
 def _next_alive(alive: tuple[bool, ...], start: int) -> int:

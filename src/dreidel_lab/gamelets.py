@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .game import GameConfig, Spin, apply_spin
+from .game import GameConfig, Spin, apply_spin, overdraft_spins
 from .epochs import new_custom
 from .reporting import BoundReport
-from .rng import GANZ, HALB, NISHT, SHTEL
+from .rng import GANZ
 
 
 @dataclass
@@ -40,54 +40,38 @@ class SignatureTable:
         return [[*sig, c] for sig, c in sorted(self.counts.items())]
 
 
-def _advance(pot: int, deltas: list[int], player: int, outcome: int, k: int) -> int:
-    """One overdraft spin on the (pot, role deltas) summary; returns pot."""
-    if outcome == GANZ:
-        deltas[player] += pot
-        for q in range(k):
-            deltas[q] -= 1
-        return k
-    if outcome == HALB:
-        deltas[player] += pot // 2
-        return pot - pot // 2
-    if outcome == SHTEL:
-        deltas[player] -= 1
-        return pot + 1
-    return pot
+MAX_PK = 14  # the longest gamelet body enumerated, in spins
 
 
-def enumerate_signatures(k: int, p: int, max_pk: int = 14) -> SignatureTable:
+def enumerate_signatures(k: int, p: int) -> SignatureTable:
     """Count all 4^(p*k) gamelets of length p*k+1 ending in a Ganz.
 
     Exact dynamic count over (pot, delta) summaries: sequences with the
     same running pot and per-role deltas are interchangeable, and the
-    last role's delta is pot-implied, so the state space stays tiny.
+    last role's delta is pot-implied, so only roles 0..k-2 are carried
+    and the state space stays tiny.
     """
     if k < 2 or p < 1:
         raise ValueError("need k >= 2 and p >= 1")
-    if p * k > max_pk:
+    if p * k > MAX_PK:
         raise ValueError(f"p*k = {p * k} too large to enumerate")
-    # state: (pot, deltas of roles 0..k-2); role k-1's delta = k - pot - sum
     layer: dict[tuple, int] = {(k, (0,) * (k - 1)): 1}
-    for t in range(p * k):
-        player = t % k
+    for t in range(p * k + 1):
+        role = t % k
         nxt: dict[tuple, int] = {}
         for (pot, ds), cnt in layer.items():
-            for outcome in (NISHT, GANZ, HALB, SHTEL):
-                full = list(ds) + [k - pot - sum(ds)]
-                pot2 = _advance(pot, full, player, outcome, k)
-                key = (pot2, tuple(full[: k - 1]))
+            spins = overdraft_spins(pot, k)
+            if t == p * k:  # the closing Ganz
+                spins = spins[GANZ:GANZ + 1]
+            for pot2, gain, ante in spins:
+                d = [u - ante for u in ds]
+                if role < k - 1:
+                    d[role] += gain
+                key = (pot2, tuple(d))
                 nxt[key] = nxt.get(key, 0) + cnt
         layer = nxt
-    # final spin: a Ganz by role (p*k) mod k
-    player = (p * k) % k
-    table = SignatureTable(k=k, p=p)
-    for (pot, ds), cnt in layer.items():
-        full = list(ds) + [k - pot - sum(ds)]
-        _advance(pot, full, player, GANZ, k)
-        sig = tuple(full[: k - 1])
-        table.counts[sig] = table.counts.get(sig, 0) + cnt
-    return table
+    # the pot is k after the closing Ganz, so each signature is one key
+    return SignatureTable(k=k, p=p, counts={ds: cnt for (_, ds), cnt in layer.items()})
 
 
 def gamelet_signature(k: int, outcomes: list[int]) -> tuple[int, ...]:
@@ -97,7 +81,9 @@ def gamelet_signature(k: int, outcomes: list[int]) -> tuple[int, ...]:
     pot = k
     deltas = [0] * k
     for t, o in enumerate(outcomes):
-        pot = _advance(pot, deltas, t % k, o, k)
+        pot, gain, ante = overdraft_spins(pot, k)[o]
+        deltas = [d - ante for d in deltas]
+        deltas[t % k] += gain
     if sum(deltas) != 0:
         raise AssertionError("gamelet payoffs must be zero-sum")
     return tuple(deltas[: k - 1])

@@ -8,10 +8,11 @@ Three chains are built here:
     spin; "game" updates the second coordinate only on P1's spins and on
     antes.
 
-Each kernel is one CSR matrix over its numbered states, built with array
-arithmetic on the (pot, stack, turn) grid; `_game_step` and
-`mod_chain_step` are the scalar one-spin rules that tests check every row
-against.
+Each kernel is one CSR matrix over its numbered states.  The game and
+mod-Lambda chains spin their whole (pot, stack, turn) grid through the
+array engine `montecarlo.SpinBatch`, one batch per forced outcome, with
+the spinner on seat 0; `mod_chain_step` is the same step through the
+scalar engine `game.apply_spin`, which tests check every row against.
 
 Pot overflow in the mod chain is truncated: a Shtel at the cap leaves
 the pot coordinate in place (the other coordinates still update).
@@ -28,7 +29,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .rng import GANZ, HALB, NISHT, SHTEL
+from .game import GameConfig, GameState, apply_spin
+from .montecarlo import SpinBatch
+from .rng import OUTCOME_CODES, ScriptedSource
 
 P_LOSS_1 = ("loss", 1)  # P1 eliminated: P2 wins
 P_LOSS_2 = ("loss", 2)
@@ -121,6 +124,21 @@ def _spin_kernel(states: list, src: np.ndarray, succ: np.ndarray, absorbing: np.
     return kernel
 
 
+def _spin_grid(pot: np.ndarray, stacks: np.ndarray, overdraft: bool) -> list[SpinBatch]:
+    """Two-player games at every grid point (pot[j], stacks[:, j]), each
+    spun once by seat 0: one batch per outcome, in code order."""
+    m = pot.size
+    codes = ScriptedSource(np.repeat(OUTCOME_CODES, m).tolist())
+    batches = []
+    for _ in OUTCOME_CODES:
+        batch = SpinBatch(2, m, 0, overdraft)
+        batch.pot[:] = pot
+        batch.stacks[:] = stacks
+        batch.step(codes)
+        batches.append(batch)
+    return batches
+
+
 # ---------------------------------------------------------------------------
 # exact two-player game chain
 
@@ -134,31 +152,24 @@ def build_game_chain(n: int) -> SparseKernel:
 
     P2's stack is pot-conservation-implied (2n - pot - stack).  Loss
     states are absorbing and labelled by the eliminated player.  The
-    spin rule is applied to the whole (pot, stack, turn) grid at once;
-    states are numbered in depth-first discovery order from the start,
-    after the two loss states.
+    whole (pot, stack, turn) grid is spun at once; states are numbered in
+    depth-first discovery order from the start, after the two loss states.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     side = 2 * n + 1  # P1 stack in 0..2n; pot in 1..2n
     x, y, z = (a.ravel() for a in np.meshgrid(np.arange(1, 2 * n + 1), np.arange(side), (1, 2), indexing="ij"))
     loss1, loss2 = x.size, x.size + 1
-    p1 = z == 1
-    spinner = np.where(p1, y, 2 * n - x - y)
-    other = np.where(p1, 2 * n - x - y, y)
-    half = x // 2
-
-    def code(nx, ny):
-        return ((nx - 1) * side + ny) * 2 + (2 - z)  # the turn passes
-
-    spinner_loss = np.where(p1, loss1, loss2)
-    other_loss = np.where(p1, loss2, loss1)
+    cols = np.arange(x.size)
+    p1 = z - 1  # P1's seat: the spinner sits on seat 0
+    stacks = np.empty((2, x.size), dtype=np.int64)
+    stacks[p1, cols], stacks[1 - p1, cols] = y, 2 * n - x - y
     # grid points with x + y > 2n are never reached, so their codes are never read
     succ = np.stack([  # NISHT, GANZ, HALB, SHTEL: this order fixes the discovery order
-        code(x, y),
-        np.where(other == 0, other_loss, code(2, np.where(p1, y + x - 1, y - 1))),  # ante folded in
-        code(x - half, np.where(p1, y + half, y)),
-        np.where(spinner == 0, spinner_loss, code(x + 1, np.where(p1, y - 1, y))),
+        np.where(~b.alive[p1, cols], loss1,
+                 np.where(~b.alive[1 - p1, cols], loss2,
+                          ((b.pot - 1) * side + b.stacks[p1, cols] - b.antes) * 2 + (2 - z)))  # the turn passes
+        for b in _spin_grid(x, stacks, overdraft=False)
     ])
 
     start = (side + n - 1) * 2  # (2, n - 1, 1)
@@ -175,32 +186,6 @@ def build_game_chain(n: int) -> SparseKernel:
     absorbing = np.zeros(len(states), dtype=bool)
     absorbing[:2] = True
     return _spin_kernel(states, np.arange(2, len(states)), np.array(order)[succ[:, found]], absorbing)
-
-
-def _game_step(n, x, y, p2, z, outcome):
-    """One spin from (x, y, z) with P2 holding p2: the scalar reference
-    for the rows of `build_game_chain`."""
-    spinner_stack = y if z == 1 else p2
-    other_stack = p2 if z == 1 else y
-    if outcome == NISHT:
-        pass
-    elif outcome == HALB:
-        spinner_stack += x // 2
-        x -= x // 2
-    elif outcome == SHTEL:
-        if spinner_stack == 0:
-            return P_LOSS_1 if z == 1 else P_LOSS_2
-        spinner_stack -= 1
-        x += 1
-    else:  # GANZ, ante folded in
-        spinner_stack += x
-        if other_stack == 0:
-            return P_LOSS_2 if z == 1 else P_LOSS_1
-        spinner_stack -= 1
-        other_stack -= 1
-        x = 2
-    new_y = spinner_stack if z == 1 else other_stack
-    return (x, new_y, 3 - z)
 
 
 # ---------------------------------------------------------------------------
@@ -257,44 +242,34 @@ class ModChainSpec:
         ]
 
 
+def _y_seat(spec: ModChainSpec, z) -> np.ndarray:
+    """The seat holding y when the spinner sits on seat 0: the spinner's on
+    P1's spins (on every spin, in the formal flavor), else the other."""
+    return np.where((z == 1) | (spec.flavor == "formal"), 0, 1)
+
+
 def mod_chain_step(spec: ModChainSpec, state: tuple[int, int, int], outcome: int) -> tuple[int, int, int]:
-    lam = spec.lam
+    """One spin of the mod chain through `game.apply_spin`: the scalar
+    reference for the rows of `build_mod_chain`."""
     x, y, z = state
-    zs = 3 - z
-    cap = spec.p_max
-    if spec.flavor == "formal" or z == 1:
-        if outcome == NISHT:
-            return (x, y, zs)
-        if outcome == GANZ:
-            return (2, (y + x - 1) % lam, zs)
-        if outcome == HALB:
-            return (x - x // 2, (y + x // 2) % lam, zs)
-        return (min(x + 1, cap), (y - 1) % lam, zs)
-    # game flavor, P2's spin: P1's stack moves only through antes
-    if outcome == NISHT:
-        return (x, y, zs)
-    if outcome == GANZ:
-        return (2, (y - 1) % lam, zs)
-    if outcome == HALB:
-        return (x - x // 2, y, zs)
-    return (min(x + 1, cap), y, zs)
+    seat = int(_y_seat(spec, z))
+    stacks = (y, 0) if seat == 0 else (0, y)
+    after, _ = apply_spin(GameState(GameConfig(2, spec.n, overdraft=True), x, stacks, 0, (True, True)), outcome)
+    return (min(after.pot, spec.p_max), after.stacks[seat] % spec.lam, 3 - z)
 
 
 def build_mod_chain(spec: ModChainSpec) -> SparseKernel:
-    """The full (pot, y, turn) grid, numbered x-major then y then turn; the
-    rows apply `mod_chain_step` to every state at once."""
+    """The full (pot, y, turn) grid, numbered x-major then y then turn, spun
+    with overdraft; y is reduced mod Lambda and the pot clamped at the cap."""
     lam, cap = spec.lam, spec.p_max
     x, y, z = (a.ravel() for a in np.meshgrid(np.arange(1, cap + 1), np.arange(lam), (1, 2), indexing="ij"))
-    p1 = (z == 1) | (spec.flavor == "formal")  # states whose spin moves P1's stack
-    half = x // 2
+    cols = np.arange(x.size)
+    seat = _y_seat(spec, z)
+    stacks = np.zeros((2, x.size), dtype=np.int64)
+    stacks[seat, cols] = y
     succ = np.stack([
-        ((nx - 1) * lam + ny % lam) * 2 + (2 - z)  # the turn passes
-        for nx, ny in (
-            (x, y),  # Nisht
-            (2, np.where(p1, y + x - 1, y - 1)),  # Ganz
-            (x - half, np.where(p1, y + half, y)),  # Halb
-            (np.minimum(x + 1, cap), np.where(p1, y - 1, y)),  # Shtel
-        )
+        ((np.minimum(b.pot, cap) - 1) * lam + (b.stacks[seat, cols] - b.antes) % lam) * 2 + (2 - z)  # the turn passes
+        for b in _spin_grid(x, stacks, overdraft=True)
     ])
     states = list(zip(x.tolist(), y.tolist(), z.tolist()))
     return _spin_kernel(states, np.arange(x.size), succ, np.zeros(x.size, dtype=bool))

@@ -31,23 +31,20 @@ class ScriptedSource:
     """
 
     def __init__(self, codes: Iterable[int]):
-        self._codes = list(codes)
+        self._codes = np.fromiter(codes, dtype=np.int64)
         self._pos = 0
 
     def integers(self, low: int, high: int, size=None):
         if (low, high) != (0, 4):
             raise ValueError("scripted source only yields spin codes")
-        if size is None:
-            return self._next()
-        out = np.array([self._next() for _ in range(size)], dtype=np.int64)
-        return out
-
-    def _next(self) -> int:
-        if self._pos >= len(self._codes):
+        lo = self._pos
+        if lo + (1 if size is None else size) > len(self._codes):
             raise IndexError("scripted outcome sequence exhausted")
-        c = self._codes[self._pos]
-        self._pos += 1
-        return c
+        if size is None:
+            self._pos += 1
+            return int(self._codes[lo])
+        self._pos += size
+        return self._codes[lo:self._pos].copy()
 
     @property
     def remaining(self) -> int:

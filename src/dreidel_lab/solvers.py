@@ -12,11 +12,6 @@ from scipy.sparse.linalg import splu
 
 from .kernels import SolverError, SparseKernel  # SolverError also covers the kernels' power iteration
 
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _rational = Fraction
-
 
 def _refine(lu, a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, rounds: int = 2) -> np.ndarray:
     for _ in range(rounds):
@@ -151,19 +146,14 @@ def absorption_time_exact(kernel: SparseKernel, start) -> Fraction:
     transient_idx = [i for i in range(kernel.n_states) if not absorbing[i]]
     pos = {i: t for t, i in enumerate(transient_idx)}
     m = len(transient_idx)
-    zero = _rational(0)
-    rows = [[zero] * m for _ in range(m)]
-    rhs = [_rational(1)] * m
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    rhs = [Fraction(1)] * m
     for t, i in enumerate(transient_idx):
-        rows[t][t] = rows[t][t] + _rational(1)
+        rows[t][t] += 1
         for j, p in kernel.rows[i]:
             if not absorbing[j]:
-                # probabilities are dyadic multiples of 1/4
-                frac = Fraction(p).limit_denominator(1 << 30)
-                rows[t][pos[j]] = rows[t][pos[j]] - _rational(frac.numerator, frac.denominator)
-    sol = solve_rational(rows, rhs)
-    t = sol[pos[kernel.index[start]]]
-    return Fraction(int(t.numerator), int(t.denominator))
+                rows[t][pos[j]] -= Fraction(p)  # exact: p is a multiple of 1/4
+    return solve_rational(rows, rhs)[pos[kernel.index[start]]]
 
 
 def solve_rational(rows: list[list], rhs: list) -> list:
@@ -190,18 +180,6 @@ def solve_rational(rows: list[list], rhs: list) -> list:
 # hitting probabilities
 
 
-@dataclass(frozen=True)
-class HitQuery:
-    start: object
-    target: frozenset
-    avoid: frozenset
-    first_step_exempt: bool = False
-
-    def __post_init__(self):
-        if self.target & self.avoid:
-            raise ValueError("target and avoid sets overlap")
-
-
 class HitSolver:
     """Factors the hitting system for one (target, avoid) boundary once,
     then answers the probability from any start."""
@@ -223,11 +201,6 @@ class HitSolver:
         if start in self.avoid:
             return 0.0
         return float(self.values[self.kernel.index[start]])
-
-
-def hit_prob(kernel: SparseKernel, query: HitQuery, tol: float = 1e-12) -> float:
-    solver = HitSolver(kernel, query.target, query.avoid, tol=tol)
-    return solver.prob(query.start, first_step_exempt=query.first_step_exempt)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dreidel_lab.game import (
     apply_spin,
     halb_split,
     new_game,
+    overdraft_spins,
     play_game,
 )
 from dreidel_lab.rng import ScriptedSource, make_generator
@@ -138,6 +139,35 @@ class TestAnte:
         s = state(2, 4, pot=1, stacks=(3, 3))
         with pytest.raises(ValueError):
             ante(s)
+
+
+class TestOverdraftSpins:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_apply_spin(self, k):
+        for pot in range(1, 12):
+            before = state(k, 5, pot, (3,) * k, turn=1, overdraft=True)
+            for outcome, (pot2, gain, ante_paid) in zip(Spin, overdraft_spins(pot, k)):
+                after, _ = apply_spin(before, outcome)
+                assert after.pot == pot2
+                assert after.stacks == tuple(3 - ante_paid + gain * (p == 1) for p in range(k))
+
+
+class TestScriptedSource:
+    def test_draws_in_order(self):
+        src = ScriptedSource([0, 1, 2, 3, 1])
+        assert src.integers(0, 4) == 0
+        assert src.integers(0, 4, size=3).tolist() == [1, 2, 3]
+        assert src.remaining == 1
+
+    def test_sized_draw_past_the_end(self):
+        src = ScriptedSource([0, 1, 2])
+        with pytest.raises(IndexError, match="exhausted"):
+            src.integers(0, 4, size=4)
+        assert src.integers(0, 4, size=3).tolist() == [0, 1, 2]
+        with pytest.raises(IndexError, match="exhausted"):
+            src.integers(0, 4, size=1)
+        with pytest.raises(IndexError, match="exhausted"):
+            src.integers(0, 4)
 
 
 class TestPlayGame:

@@ -29,7 +29,7 @@ def brute_force_signatures(k, p):
 
 
 class TestEnumerateSignatures:
-    @pytest.mark.parametrize("k,p", [(2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("k,p", [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1), (5, 1), (6, 1)])
     def test_matches_engine_brute_force(self, k, p):
         table = gl.enumerate_signatures(k, p)
         assert table.counts == brute_force_signatures(k, p)

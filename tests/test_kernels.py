@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import toy_kernel
-from dreidel_lab import kernels
+from dreidel_lab.game import GameConfig, GameState, apply_spin
 from dreidel_lab.kernels import (
     P_LOSS_1,
     P_LOSS_2,
@@ -170,6 +170,14 @@ def _quarter_rows(step, states) -> dict:
     return rows
 
 
+def _engine_spin(n, overdraft, state, outcome) -> GameState:
+    """The two-player position (pot x, P1 holding y, player z on turn)
+    after one spin by the scalar rules engine."""
+    x, y, z = state
+    before = GameState(GameConfig(2, n, overdraft=overdraft), x, (y, 2 * n - x - y), z - 1, (True, True))
+    return apply_spin(before, outcome)[0]
+
+
 class TestRowsMatchScalarRules:
     """Every CSR row against the successors recomputed state by state."""
 
@@ -182,11 +190,39 @@ class TestRowsMatchScalarRules:
         want = _quarter_rows(lambda s, o: mod_chain_step(spec, s, o), kernel.states)
         assert all(dict(kernel.successors(s)) == want[s] for s in kernel.states)
 
+    @pytest.mark.parametrize("flavor", ["game", "formal"])
+    @pytest.mark.parametrize("n, p_max", [(3, 12), (4, 32)])
+    def test_mod_chain_matches_apply_spin(self, n, p_max, flavor):
+        """Game-flavor rows at real positions (x + y <= 2n) and P1's
+        formal-flavor rows, all with the pot below the cap, are real
+        overdraft spins with y read mod Lambda."""
+        spec = ModChainSpec(n=n, p_max=p_max, flavor=flavor)
+        kernel = build_mod_chain(spec)
+        if flavor == "game":
+            checked = [s for s in kernel.states if s[0] + s[1] <= 2 * n and s[0] < p_max]
+        else:
+            checked = [s for s in kernel.states if s[2] == 1 and s[0] < p_max]
+        assert len(checked) >= n * n
+
+        def step(s, o):
+            after = _engine_spin(n, True, s, o)
+            return (after.pot, after.stacks[0] % spec.lam, after.turn + 1)
+
+        want = _quarter_rows(step, checked)
+        assert all(dict(kernel.successors(s)) == want[s] for s in checked)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_game_chain(self, n):
         kernel = build_game_chain(n)
         live = [s for s in kernel.states if s not in (P_LOSS_1, P_LOSS_2)]
-        want = _quarter_rows(lambda s, o: kernels._game_step(n, s[0], s[1], 2 * n - s[0] - s[1], s[2], o), live)
+
+        def step(s, o):
+            after = _engine_spin(n, False, s, o)
+            if after.terminated:
+                return P_LOSS_1 if after.winner == 1 else P_LOSS_2
+            return (after.pot, after.stacks[0], after.turn + 1)
+
+        want = _quarter_rows(step, live)
         assert kernel.states[:3] == [P_LOSS_1, P_LOSS_2, game_chain_start(n)]
         assert all(dict(kernel.successors(s)) == want[s] for s in live)
         # exactly the states reachable from the start, loss states absorbing

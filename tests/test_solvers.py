@@ -12,13 +12,11 @@ from conftest import toy_kernel
 from dreidel_lab import kernels, solvers
 from dreidel_lab.kernels import ModChainSpec, build_game_chain, build_mod_chain, game_chain_start
 from dreidel_lab.solvers import (
-    HitQuery,
     HitSolver,
     RestrictedLU,
     SolverError,
     absorption_stats,
     absorption_time_exact,
-    hit_prob,
     mean_return_time,
     solve_rational,
 )
@@ -86,13 +84,11 @@ class TestSolveRational:
 class TestHitProb:
     def test_target_is_start(self):
         kernel = walk_kernel(6, absorbing_ends=False)
-        q = HitQuery(start=3, target=frozenset({3}), avoid=frozenset({0}))
-        assert hit_prob(kernel, q) == 1.0
+        assert HitSolver(kernel, frozenset({3}), frozenset({0})).prob(3) == 1.0
 
     def test_start_in_avoid(self):
         kernel = walk_kernel(6, absorbing_ends=False)
-        q = HitQuery(start=0, target=frozenset({6}), avoid=frozenset({0}))
-        assert hit_prob(kernel, q) == 0.0
+        assert HitSolver(kernel, frozenset({6}), frozenset({0})).prob(0) == 0.0
 
     def test_gamblers_ruin_closed_form(self):
         n = 12
@@ -122,8 +118,9 @@ class TestHitProb:
         assert abs(p - 0.5 * (1 / n)) < 1e-10
 
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            HitQuery(start=1, target=frozenset({2}), avoid=frozenset({2}))
+        kernel = walk_kernel(6, absorbing_ends=False)
+        with pytest.raises(ValueError, match="overlap"):
+            HitSolver(kernel, frozenset({2}), frozenset({2}))
 
     def test_complementarity_on_walk(self):
         kernel = walk_kernel(10, absorbing_ends=False)
