@@ -1,8 +1,11 @@
 """Linear-system solvers for absorption times, hitting probabilities and
-mean return times, with an exact-rational route for small chains."""
+mean return times, with an exact-rational route: sparse elimination over
+the integer absorption system, certified in integer arithmetic."""
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,43 +140,103 @@ def absorption_stats(kernel: SparseKernel, start) -> AbsorptionResult:
 
 
 def absorption_time_exact(kernel: SparseKernel, start) -> Fraction:
-    """Expected absorption time by exact rational elimination.
+    """Expected absorption time by certified sparse rational elimination.
 
-    Every transition probability is 1/4 or a sum of such, so the system
-    is solved over the rationals with no rounding at all.
+    Every transition probability is a count of the four spin outcomes
+    over 4, so 4(I - Q) t = 4 over the transient states has integer
+    coefficients.  It is solved over the rationals with no rounding at
+    all, and the solution is checked against it in integer arithmetic.
+    A probability that is not a multiple of 1/4 raises `SolverError`.
     """
-    absorbing = kernel.absorbing
-    transient_idx = [i for i in range(kernel.n_states) if not absorbing[i]]
-    pos = {i: t for t, i in enumerate(transient_idx)}
-    m = len(transient_idx)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    rhs = [Fraction(1)] * m
-    for t, i in enumerate(transient_idx):
-        rows[t][t] += 1
-        for j, p in kernel.rows[i]:
-            if not absorbing[j]:
-                rows[t][pos[j]] -= Fraction(p)  # exact: p is a multiple of 1/4
-    return solve_rational(rows, rhs)[pos[kernel.index[start]]]
+    csr = kernel.csr
+    counts = 4 * csr.data
+    bad = np.flatnonzero(counts != np.rint(counts))
+    if bad.size:
+        row = int(np.searchsorted(csr.indptr, bad[0], side="right")) - 1
+        raise SolverError(f"transition probability {float(csr.data[bad[0]])!r} out of state "
+                          f"{kernel.states[row]} is not a multiple of 1/4")
+    transient = np.flatnonzero(~kernel.absorbing)
+    outcomes = sp.csr_matrix((counts.astype(np.int64), csr.indices, csr.indptr), shape=csr.shape)
+    a = (4 * sp.identity(kernel.n_states, dtype=np.int64, format="csr") - outcomes)[transient][:, transient]
+    a.eliminate_zeros()
+    indptr, indices, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    rows = [dict(zip(indices[lo:hi], data[lo:hi])) for lo, hi in zip(indptr, indptr[1:])]
+    pos = dict(zip(transient.tolist(), range(transient.size)))
+    return solve_rational(rows, [4] * len(rows))[pos[kernel.index[start]]]
 
 
-def solve_rational(rows: list[list], rhs: list) -> list:
-    """Gaussian elimination with exact rational arithmetic."""
+def solve_rational(rows: list[dict], rhs: list[int]) -> list[Fraction]:
+    """The exact solution of sum_j rows[i][j] x_j = rhs[i], for integer
+    coefficients held sparsely as one {column: value} dict per row.
+
+    Sparse elimination in `Fraction` arithmetic with Markowitz-style
+    pivoting (Markowitz 1957; Davis, *Direct Methods for Sparse Linear
+    Systems*, 2006): the column with the fewest live rows, then the
+    sparsest live row in it, ties broken by index.  Entries that cancel
+    are dropped, so elimination stores no zeros.  The answer is certified
+    before it is returned.
+    """
+    x = _eliminate(rows, rhs)
+    certify(rows, rhs, x)
+    return x
+
+
+def _eliminate(rows: list[dict], rhs: list[int]) -> list[Fraction]:
     m = len(rows)
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if piv is None:
+    live = [dict(r) for r in rows]
+    b = list(rhs)
+    col_rows = [set() for _ in range(m)]
+    for i, row in enumerate(live):
+        for j in row:
+            col_rows[j].add(i)
+    heap = [(len(rs), j) for j, rs in enumerate(col_rows)]
+    heapq.heapify(heap)
+    done = [False] * m
+    order = []
+    while heap:
+        count, col = heapq.heappop(heap)
+        if done[col] or count != len(col_rows[col]):
+            continue  # stale entry
+        if not count:
             raise SolverError("singular rational system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        pivot_row = a[col]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                row = a[r]
-                a[r] = [v - f * pv for v, pv in zip(row, pivot_row)]
-    return [a[r][m] for r in range(m)]
+        done[col] = True
+        piv = min(col_rows[col], key=lambda i: (len(live[i]), i))
+        prow = live[piv]
+        for j in prow:
+            col_rows[j].discard(piv)
+        inv = 1 / Fraction(prow[col])
+        for i in list(col_rows[col]):
+            row = live[i]
+            f = row[col] * inv
+            for j, v in prow.items():
+                new = row.get(j, 0) - f * v
+                if new:
+                    row[j] = new
+                    col_rows[j].add(i)
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            b[i] -= f * b[piv]
+        for j in prow:
+            if not done[j]:
+                heapq.heappush(heap, (len(col_rows[j]), j))
+        order.append((piv, col))
+    x = [Fraction(0)] * m
+    for piv, col in reversed(order):
+        prow = live[piv]
+        x[col] = (b[piv] - sum(v * x[j] for j, v in prow.items() if j != col)) / Fraction(prow[col])
+    return x
+
+
+def certify(rows: list[dict], rhs: list[int], x: list[Fraction]) -> None:
+    """Check sum_j rows[i][j] x_j = rhs[i] for every row in integer
+    arithmetic, with x scaled by the LCM D of its denominators; raise
+    `SolverError` on any mismatch."""
+    d = math.lcm(*(v.denominator for v in x))
+    scaled = [v.numerator * (d // v.denominator) for v in x]
+    for i, (row, bi) in enumerate(zip(rows, rhs)):
+        if sum(c * scaled[j] for j, c in row.items()) != bi * d:
+            raise SolverError(f"rational solution fails its integer certificate in row {i}")
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,19 @@ class TestExitCodes:
         assert err == f"error: {exc.__name__}: check failed\n"
 
 
+    def test_failed_certificate_exits_3(self, tmp_path, capsys, monkeypatch):
+        eliminate = solvers._eliminate
+
+        def off_by_one(rows, rhs):
+            x = eliminate(rows, rhs)
+            return [x[0] + 1, *x[1:]]
+
+        monkeypatch.setattr(solvers, "_eliminate", off_by_one)
+        code, _ = run(tmp_path, ["exact", "--n", "3", "--rational"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: SolverError: rational solution fails its integer certificate in row 0\n"
+
     def test_unconverged_power_iteration_exits_3(self, tmp_path, capsys, monkeypatch):
         power_iteration = kernels.power_iteration
 

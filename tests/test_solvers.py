@@ -17,9 +17,51 @@ from dreidel_lab.solvers import (
     SolverError,
     absorption_stats,
     absorption_time_exact,
+    certify,
     mean_return_time,
     solve_rational,
 )
+
+
+def dense_rational(rows: list[list], rhs: list) -> list:
+    """Gauss-Jordan elimination with exact rational arithmetic on dense
+    rows: the oracle for the sparse `solve_rational`."""
+    m = len(rows)
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+        if piv is None:
+            raise SolverError("singular rational system")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        pivot_row = a[col]
+        for r in range(m):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                row = a[r]
+                a[r] = [v - f * pv for v, pv in zip(row, pivot_row)]
+    return [a[r][m] for r in range(m)]
+
+
+def dense_absorption_time(kernel, start) -> Fraction:
+    """(I - Q) t = 1 assembled densely from `Fraction(p)` and solved by
+    `dense_rational`."""
+    absorbing = kernel.absorbing
+    transient_idx = [i for i in range(kernel.n_states) if not absorbing[i]]
+    pos = {i: t for t, i in enumerate(transient_idx)}
+    m = len(transient_idx)
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for t, i in enumerate(transient_idx):
+        rows[t][t] += 1
+        for j, p in kernel.rows[i]:
+            if not absorbing[j]:
+                rows[t][pos[j]] -= Fraction(p)
+    return dense_rational(rows, [Fraction(1)] * m)[pos[kernel.index[start]]]
+
+
+def to_dense(rows: list[dict]) -> list[list]:
+    return [[Fraction(row.get(j, 0)) for j in range(len(rows))] for row in rows]
 
 
 def walk_kernel(n, p=0.5, absorbing_ends=True):
@@ -67,18 +109,64 @@ class TestAbsorption:
         assert isinstance(exact, Fraction)
         assert exact > 0
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_game_chain_matches_dense_oracle(self, n):
+        kernel, start = build_game_chain(n), game_chain_start(n)
+        assert absorption_time_exact(kernel, start) == dense_absorption_time(kernel, start)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_game_chain_float_vs_rational_large(self, n):
+        # past criterion 7's n <= 8; the certificate runs inside the solve
+        kernel, start = build_game_chain(n), game_chain_start(n)
+        exact = absorption_time_exact(kernel, start)
+        approx = absorption_stats(kernel, start).expected_time
+        assert abs(approx - float(exact)) < 1e-9
+
+    def test_non_quarter_probability_is_rejected(self):
+        # Fraction(1/3) is the float's binary value, so an "exact" solve of
+        # this chain would not give its expected time 3/2
+        kernel = toy_kernel(["t", "a"], {"t": {"t": 1 / 3, "a": 2 / 3}}, absorbing={"a"})
+        assert abs(absorption_stats(kernel, "t").expected_time - 1.5) < 1e-12
+        with pytest.raises(SolverError, match=r"out of state t is not a multiple of 1/4"):
+            absorption_time_exact(kernel, "t")
+
 
 class TestSolveRational:
     def test_small_system(self):
         # x + y = 3, x - y = 1 -> (2, 1)
-        rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-        sol = solve_rational(rows, [Fraction(3), Fraction(1)])
+        rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+        sol = solve_rational(rows, [3, 1])
         assert sol == [Fraction(2), Fraction(1)]
 
     def test_singular(self):
-        rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-        with pytest.raises(SolverError):
-            solve_rational(rows, [Fraction(1), Fraction(2)])
+        rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
+        with pytest.raises(SolverError, match="singular rational system"):
+            solve_rational(rows, [1, 2])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle(self, data):
+        # strictly diagonally dominant, hence nonsingular
+        m = data.draw(st.integers(1, 8))
+        rows = []
+        for i in range(m):
+            off = data.draw(st.dictionaries(st.integers(0, m - 1), st.integers(-9, 9).filter(bool)))
+            off.pop(i, None)
+            sign = data.draw(st.sampled_from([-1, 1]))
+            rows.append({**off, i: sign * (sum(map(abs, off.values())) + data.draw(st.integers(1, 9)))})
+        rhs = data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
+        assert solve_rational(rows, rhs) == dense_rational(to_dense(rows), [Fraction(b) for b in rhs])
+
+    def test_certificate_rejects_tampered_solution(self):
+        rows = [{0: 2, 1: -1}, {0: -1, 1: 2, 2: -1}, {1: -1, 2: 2}]
+        x = solve_rational(rows, [4, 4, 4])
+        assert x == [6, 8, 6]
+        certify(rows, [4, 4, 4], x)
+        for i in range(3):
+            tampered = list(x)
+            tampered[i] += Fraction(1, 10**12)
+            with pytest.raises(SolverError, match="certificate"):
+                certify(rows, [4, 4, 4], tampered)
 
 
 class TestHitProb:
