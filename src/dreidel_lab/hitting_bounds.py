@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ModChainSpec, SparseKernel, build_game_chain, build_mod_chain, game_chain_start
+from .kernels import ModChainSpec, SparseKernel, build_duration_chain, build_mod_chain
 from .reporting import BoundReport
 from .solvers import HitSolver, RestrictedLU, absorption_stats, mean_return_time, next_step_mean
 
@@ -93,8 +93,7 @@ def bound_tables(n: int, flavor: str = "game", tol: float = 1e-10) -> BoundRepor
     rep.check_ge("p_f >= 1/(4(n+63))", q["p_f"], 1.0 / (4 * (n + 63)))
     rep.check_le("mu0 <= 13(2n+3)/3", q["mu0"], 13 * (2 * n + 3) / 3, slack=1e-6)
 
-    game = build_game_chain(n)
-    mu_d = absorption_stats(game, game_chain_start(n)).expected_time
+    mu_d = absorption_stats(build_duration_chain(n), (2, n - 1)).expected_time
     rep.check_le("mu_d <= mu0/p_f", mu_d, q["mu0"] / q["p_f"], slack=1e-6)
     rep.report_only("mu_d", mu_d)
     rep.check_le("cap stability drift", drift, tol)

@@ -1,15 +1,17 @@
 """Finite Markov kernels for the two-player analysis.
 
-Three chains are built here:
+Four chains are built here:
   * the exact game chain (pot, P1 stack, turn) with absorbing losses,
+  * the duration chain: the game chain folded by the players' swap
+    symmetry, over (pot, stack of the player on turn),
   * the pot-size chain on {1..x_max},
   * the mod-Lambda chain on (pot, P1 stack mod Lambda, turn), in two
     flavors: "formal" applies the four transition maps verbatim on every
     spin; "game" updates the second coordinate only on P1's spins and on
     antes.
 
-Each kernel is one CSR matrix over its numbered states.  The game and
-mod-Lambda chains spin their whole (pot, stack, turn) grid through the
+Each kernel is one CSR matrix over its numbered states.  The game,
+duration and mod-Lambda chains spin their whole state grid through the
 array engine `montecarlo.SpinBatch`, one batch per forced outcome, with
 the spinner on seat 0; `mod_chain_step` is the same step through the
 scalar engine `game.apply_spin`, which tests check every row against.
@@ -35,6 +37,7 @@ from .rng import OUTCOME_CODES, ScriptedSource
 
 P_LOSS_1 = ("loss", 1)  # P1 eliminated: P2 wins
 P_LOSS_2 = ("loss", 2)
+GAME_OVER = "game over"  # the duration chain's one absorbing state
 
 
 class SolverError(RuntimeError):
@@ -139,6 +142,30 @@ def _spin_grid(pot: np.ndarray, stacks: np.ndarray, overdraft: bool) -> list[Spi
     return batches
 
 
+def _reachable_kernel(coords: tuple[np.ndarray, ...], succ: np.ndarray, start: int, labels: list) -> SparseKernel:
+    """The chain on the grid points reachable from grid code `start`.
+
+    Grid code c is the point (coords[0][c], coords[1][c], ...) and moves
+    to succ[o, c] under outcome o; the codes past the grid, in order, are
+    the absorbing states `labels`.  States are the labels, then the grid
+    points in depth-first discovery order from the start.
+    """
+    size, first = coords[0].size, len(labels)
+    order = [-1] * size + list(range(first))  # kernel index of each code
+    order[start] = first
+    found, stack, nxt = [start], [start], succ.T.tolist()
+    while stack:
+        for c in nxt[stack.pop()]:
+            if order[c] < 0:
+                order[c] = len(found) + first
+                found.append(c)
+                stack.append(c)
+    states = labels + list(zip(*(v[found].tolist() for v in coords)))
+    absorbing = np.zeros(len(states), dtype=bool)
+    absorbing[:first] = True
+    return _spin_kernel(states, np.arange(first, len(states)), np.array(order)[succ[:, found]], absorbing)
+
+
 # ---------------------------------------------------------------------------
 # exact two-player game chain
 
@@ -171,21 +198,28 @@ def build_game_chain(n: int) -> SparseKernel:
                           ((b.pot - 1) * side + b.stacks[p1, cols] - b.antes) * 2 + (2 - z)))  # the turn passes
         for b in _spin_grid(x, stacks, overdraft=False)
     ])
+    return _reachable_kernel((x, y, z), succ, (side + n - 1) * 2, [P_LOSS_1, P_LOSS_2])  # from (2, n - 1, 1)
 
-    start = (side + n - 1) * 2  # (2, n - 1, 1)
-    order = [-1] * (x.size + 2)  # kernel index of each grid code
-    order[loss1], order[loss2], order[start] = 0, 1, 2
-    found, stack, nxt = [start], [start], succ.T.tolist()
-    while stack:
-        for c in nxt[stack.pop()]:
-            if order[c] < 0:
-                order[c] = len(found) + 2
-                found.append(c)
-                stack.append(c)
-    states = [P_LOSS_1, P_LOSS_2] + list(zip(x[found].tolist(), y[found].tolist(), z[found].tolist()))
-    absorbing = np.zeros(len(states), dtype=bool)
-    absorbing[:2] = True
-    return _spin_kernel(states, np.arange(2, len(states)), np.array(order)[succ[:, found]], absorbing)
+
+def build_duration_chain(n: int) -> SparseKernel:
+    """The game chain folded by the swap of the two players, k=2: states
+    (pot, stack of the player on turn), one absorbing `GAME_OVER`.
+
+    State (x, y, 2) of `build_game_chain` is (x, 2n - x - y, 1) with the
+    players' names swapped, so both are (x, 2n - x - y) here: half the
+    transient states, and the same time to absorption (Kemeny & Snell,
+    *Finite Markov Chains*, 1960, ch. 6).  It does not say who wins.
+    """
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    side = 2 * n + 1
+    x, a = (v.ravel() for v in np.meshgrid(np.arange(1, 2 * n + 1), np.arange(side), indexing="ij"))
+    # grid points with x + a > 2n are never reached, so their codes are never read
+    succ = np.stack([  # the successor's player on turn sits on seat 1
+        np.where(b.alive.all(axis=0), (b.pot - 1) * side + b.stacks[1] - b.antes, x.size)
+        for b in _spin_grid(x, np.stack([a, 2 * n - x - a]), overdraft=False)
+    ])
+    return _reachable_kernel((x, a), succ, side + n - 1, [GAME_OVER])  # from (2, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -498,7 +498,7 @@ def scaling_report(
 ) -> ScalingFit:
     """Log-log slope of mean game duration over n.
 
-    mode="exact" (k=2 only) uses the absorbing-chain solver; mode="mc"
+    mode="exact" (k=2 only) solves the absorbing duration chain; mode="mc"
     uses Monte Carlo with `trials` games per n.
     """
     if len(ns) < 2:
@@ -509,11 +509,10 @@ def scaling_report(
         if mode == "exact":
             if k != 2:
                 raise ValueError("exact durations are only available for k=2")
-            from .kernels import build_game_chain
+            from .kernels import build_duration_chain
             from .solvers import absorption_stats
 
-            kernel = build_game_chain(n)
-            mean = absorption_stats(kernel, (2, n - 1, 1)).expected_time
+            mean = absorption_stats(build_duration_chain(n), (2, n - 1)).expected_time
             se = None
         else:
             est = estimate_mean_duration(GameConfig(k=k, n=n), trials, seed, jobs=jobs)

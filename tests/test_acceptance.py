@@ -156,7 +156,7 @@ def test_criterion_07_oracle_equivalence():
 
 
 def test_criterion_08_scaling():
-    fit = mc.scaling_report(2, [5, 10, 15, 20, 30, 40], mode="exact")
+    fit = mc.scaling_report(2, [5, 10, 15, 20, 30, 40, 60, 80], mode="exact")
     ok = 1.7 <= fit.slope <= 2.2
     ratios = ", ".join(f"n={r.n}:{r.ratio_asymptotic:.4f}" for r in fit.rows)
     criterion(8, f"exact-duration log-log slope {fit.slope:.3f} in [1.7, 2.2] "

@@ -7,11 +7,13 @@ import scipy.sparse as sp
 from conftest import toy_kernel
 from dreidel_lab.game import GameConfig, GameState, apply_spin
 from dreidel_lab.kernels import (
+    GAME_OVER,
     P_LOSS_1,
     P_LOSS_2,
     ModChainSpec,
     SolverError,
     SparseKernel,
+    build_duration_chain,
     build_game_chain,
     build_mod_chain,
     build_pot_chain,
@@ -22,6 +24,7 @@ from dreidel_lab.kernels import (
     squared_slice_chain,
 )
 from dreidel_lab.rng import GANZ, HALB, NISHT, SHTEL
+from dreidel_lab.solvers import absorption_stats
 
 
 class TestGameChain:
@@ -235,6 +238,25 @@ class TestRowsMatchScalarRules:
         assert set(live) == reached
         assert kernel.successors(P_LOSS_1) == [] and kernel.absorbing.tolist() == [True, True] + [False] * len(live)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_duration_chain(self, n):
+        kernel = build_duration_chain(n)
+        live = kernel.states[1:]
+
+        def step(s, o):
+            x, a = s
+            before = GameState(GameConfig(2, n), x, (a, 2 * n - x - a), 0, (True, True))
+            after = apply_spin(before, o)[0]
+            return GAME_OVER if after.terminated else (after.pot, after.stacks[after.turn])
+
+        want = _quarter_rows(step, live)
+        assert kernel.states[:2] == [GAME_OVER, (2, n - 1)]
+        assert all(dict(kernel.successors(s)) == want[s] for s in live)
+        # the fold of the game chain's states, which are all reachable
+        folded = {(x, y if z == 1 else 2 * n - x - y) for x, y, z in build_game_chain(n).states[2:]}
+        assert set(live) == folded
+        assert kernel.successors(GAME_OVER) == [] and kernel.absorbing.tolist() == [True] + [False] * len(live)
+
     def test_pot_chain(self):
         x_max = 40
         kernel = build_pot_chain(x_max)
@@ -253,6 +275,17 @@ class TestRowsMatchScalarRules:
         assert dict(kernel.successors(4)) == {1: 0.25, 6: 0.75}
         assert kernel.rows[2] == [(1, 0.5), (2, 0.25), (3, 0.25)] and kernel.rows[9][-1] == (9, 0.5)
         kernel.validate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 20])
+def test_folded_times_match_game_chain(n):
+    """The expected remaining duration from every reachable (x, y, z) is
+    that of its fold (x, y) or (x, 2n - x - y)."""
+    game = absorption_stats(build_game_chain(n), game_chain_start(n))
+    folded = absorption_stats(build_duration_chain(n), (2, n - 1))
+    for x, y, z in game.kernel.states[2:]:
+        t = game.expected_time_from((x, y, z))
+        assert abs(folded.expected_time_from((x, y if z == 1 else 2 * n - x - y)) - t) <= 1e-12 * t
 
 
 class TestValidate:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import toy_kernel
 from dreidel_lab import kernels, solvers
-from dreidel_lab.kernels import ModChainSpec, build_game_chain, build_mod_chain, game_chain_start
+from dreidel_lab.kernels import ModChainSpec, build_duration_chain, build_game_chain, build_mod_chain, game_chain_start
 from dreidel_lab.solvers import (
     HitSolver,
     RestrictedLU,
@@ -121,6 +121,17 @@ class TestAbsorption:
         exact = absorption_time_exact(kernel, start)
         approx = absorption_stats(kernel, start).expected_time
         assert abs(approx - float(exact)) < 1e-9
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_folded_chain_exact_time(self, n):
+        # the swap symmetry and the rational solver, certified together
+        folded = absorption_time_exact(build_duration_chain(n), (2, n - 1))
+        assert folded == absorption_time_exact(build_game_chain(n), game_chain_start(n))
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_folded_chain_exact_time_large(self, n):
+        folded = absorption_time_exact(build_duration_chain(n), (2, n - 1))
+        assert abs(float(folded) - absorption_stats(build_game_chain(n), game_chain_start(n)).expected_time) < 1e-9
 
     def test_non_quarter_probability_is_rejected(self):
         # Fraction(1/3) is the float's binary value, so an "exact" solve of
@@ -258,6 +269,27 @@ class TestRestrictedLU:
             g = lu.green(a)
             for x in range(n + 1):
                 assert abs(g[x] - 2 * min(x, a) * (n - max(x, a)) / n) < 1e-10
+
+    def test_reordered_solves_match_dense(self):
+        # a one-way cycle with shortcuts: not symmetric, and RCM reorders it
+        m = 9
+        rows = {i: {} for i in range(m)}
+        for i in range(m):
+            for j, q in (((i + 1) % m, 0.5), ((3 * i + 2) % m, 0.25), (0, 0.25)):
+                rows[i][j] = rows[i].get(j, 0.0) + q
+        kernel = toy_kernel(range(m), rows)
+        lu = RestrictedLU(kernel, {0, 4})
+        assert (lu.order != np.arange(lu.unknown.size)).any()
+        p = kernel.csr.toarray()
+        u = lu.unknown
+        a = np.eye(u.size) - p[np.ix_(u, u)]
+        rhs = np.arange(1.0, u.size + 1)
+        assert np.allclose(lu.solve(rhs), np.linalg.solve(a, rhs), rtol=1e-12, atol=0)
+        h = np.linalg.solve(a, p[u, 4])
+        assert np.allclose(lu.harmonic({4})[u], h, rtol=1e-12, atol=0)
+        g = np.linalg.inv(a)
+        for j, state in enumerate(u):
+            assert np.allclose(lu.green(state)[u], g[:, j], rtol=1e-12, atol=0)
 
     def test_green_rejects_boundary_state(self):
         with pytest.raises(ValueError):
