@@ -9,6 +9,7 @@ from .game import (
     SpinCapExceeded,
     Transcript,
     apply_spin,
+    new_custom,
     new_game,
     play_game,
 )
@@ -16,7 +17,6 @@ from .epochs import (
     EpochBoundaryError,
     EpochRecord,
     StoppingRecord,
-    new_custom,
     run_epoch,
     run_metaslowdel,
 )
@@ -33,12 +33,12 @@ __all__ = [
     "SpinCapExceeded",
     "Transcript",
     "apply_spin",
+    "new_custom",
     "new_game",
     "play_game",
     "EpochBoundaryError",
     "EpochRecord",
     "StoppingRecord",
-    "new_custom",
     "run_epoch",
     "run_metaslowdel",
     "GANZ",

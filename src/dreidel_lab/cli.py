@@ -20,11 +20,17 @@ from .reporting import BoundReport, format_csv, format_json, write_text, emit_pl
 
 
 def _parse_n_list(text: str) -> list[int]:
-    """Accept '5,10,20' or '2..8'."""
+    """Accept '5,10,20' or '2..8'; reject a list that is empty or repeats an n."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+        ns = list(range(int(lo), int(hi) + 1))
+    else:
+        ns = [int(v) for v in text.split(",")]
+    if not ns:
+        raise ValueError(f"--n-list {text!r} is empty")
+    if len(set(ns)) < len(ns):
+        raise ValueError(f"--n-list {text!r} repeats an n")
+    return ns
 
 
 def _runspec(args: argparse.Namespace) -> dict:
@@ -133,7 +139,8 @@ def cmd_pot_chain(args) -> int:
 
 
 def cmd_hitprob(args) -> int:
-    spec = kernels.ModChainSpec(n=args.n, p_max=args.pmax or 8 * args.n, flavor=args.flavor)
+    p_max = args.pmax or hitting_bounds.START_CAP_PER_N * args.n
+    spec = kernels.ModChainSpec(n=args.n, p_max=p_max, flavor=args.flavor)
     kernel = kernels.build_mod_chain(spec)
     lam = spec.lam
     solver = solvers.HitSolver(

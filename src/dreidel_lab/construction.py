@@ -15,10 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .game import GameConfig, GameState, Spin, apply_spin, overdraft_spins
-from .epochs import new_custom
+from .game import GameConfig, GameState, Spin, apply_spin, new_custom, overdraft_spins
 from .gamelets import choose_alpha, random_gamelet
 from .rng import GANZ, HALB, NISHT, SHTEL
 
@@ -136,26 +133,16 @@ class ConstructedGame:
         return len(self.outcomes)
 
 
-def construct_long_game(
-    k: int,
-    n: int,
-    s: int,
-    alpha: float | None = None,
-    rng=None,
-    start: GameState | None = None,
-) -> ConstructedGame:
-    """Assemble a legal metaslowdel game of exactly k*s spins with at
-    least floor(alpha*s) epochs, ending with the last player winning."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def construct_long_game(k: int, n: int, s: int, alpha: float | None = None, *, rng) -> ConstructedGame:
+    """Assemble a legal metaslowdel game of exactly k*s spins, from n
+    tokens each, with at least floor(alpha*s) epochs, ending with the
+    last player winning."""
     if alpha is None:
         alpha = choose_alpha(k)
     p = (n - k - 1) // (k * k)
     if p < 1:
         raise InfeasibleError(f"n={n} too small for gamelet blocks with k={k}")
-    config = GameConfig(k=k, n=n, overdraft=True)
-    if start is None:
-        start = new_custom([n] * k, config)
+    start = new_custom([n] * k, GameConfig(k=k, n=n, overdraft=True))
     plan1 = restorative_sequence(start)
     m = plan1.m
     t_s = math.floor(alpha * s)
@@ -178,18 +165,11 @@ def construct_long_game(
         outcomes += g * k
     outcomes += [NISHT] * fill
 
-    # closing staircase: simulate forward to know who still holds a token
-    state = start
-    for o in outcomes:
-        state, _ = apply_spin(state, Spin(o))
-    for _ in range(m):
-        outcomes += [SHTEL] * k
-        for _ in range(k):
-            state, _ = apply_spin(state, Spin.SHTEL)
-    cond_round = [SHTEL if state.stacks[seat] >= 1 else NISHT for seat in range(k)]
-    outcomes += cond_round
-    for o in cond_round:
-        state, _ = apply_spin(state, Spin(o))
+    # closing staircase: phases 2 and 3 are zero-net whole rounds, so the
+    # stacks are still plan1's, and m Shtel rounds leave a token to those
+    # who held more than the minimum m
+    outcomes += [SHTEL] * (k * m)
+    outcomes += [SHTEL if stack > m else NISHT for stack in plan1.end_state.stacks]
     outcomes += [NISHT] * (k - 1) + [GANZ]
 
     plan = PhasePlan(

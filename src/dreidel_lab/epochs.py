@@ -1,4 +1,4 @@
-"""Epoch machinery for slowdel / metaslowdel and arbitrary-start games.
+"""Epoch machinery for slowdel / metaslowdel games.
 
 An epoch runs in rounds of k spins and closes on the first round whose
 final spin (the last player's) is a Ganz; the ante that follows belongs
@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import GameConfig, GameState, GameError, Spin, apply_spin
+from .game import GameState, GameError, Spin, apply_spin, new_custom  # new_custom: re-exported
+
+MAX_EPOCHS = 10**7  # run_metaslowdel gives up after this many epochs
 
 
 class EpochBoundaryError(GameError):
@@ -44,23 +46,6 @@ class StoppingRecord:
     u: int
     side: str  # "lower" (last player ruined) | "upper" (opponents ruined)
     payoffs: tuple[int, ...] = ()
-
-
-def new_custom(stacks: tuple[int, ...] | list[int], config: GameConfig) -> GameState:
-    """Metadreidel start: arbitrary stacks, opening ante already resolved."""
-    stacks = tuple(stacks)
-    if len(stacks) != config.k:
-        raise ValueError(f"expected {config.k} stacks, got {len(stacks)}")
-    if not config.overdraft and any(s < 1 for s in stacks):
-        raise ValueError("every player needs a token for the opening ante")
-    return GameState(
-        config=config,
-        pot=config.k,
-        stacks=tuple(s - 1 for s in stacks),
-        turn=0,
-        alive=(True,) * config.k,
-        spin_index=0,
-    )
 
 
 def at_epoch_boundary(state: GameState) -> bool:
@@ -115,12 +100,7 @@ def lost_players(record: EpochRecord) -> tuple[int, ...]:
     return tuple(p for p, s in enumerate(record.end_stacks) if s < 0)
 
 
-def run_metaslowdel(
-    start: GameState,
-    n: int,
-    rng,
-    max_epochs: int = 10**7,
-) -> StoppingRecord:
+def run_metaslowdel(start: GameState, n: int, rng) -> StoppingRecord:
     """Run epochs until the last player's cumulative payoff leaves the window.
 
     The window for the partial sums S_j is (-W0, k(n-1) - W0]: below it
@@ -137,7 +117,7 @@ def run_metaslowdel(
     s = 0
     spins = 0
     payoffs: list[int] = []
-    for t in range(1, max_epochs + 1):
+    for t in range(1, MAX_EPOCHS + 1):
         record, state = run_epoch(state, rng, epoch_index=t - 1)
         y = record.payoff[k - 1]
         payoffs.append(y)
@@ -147,4 +127,4 @@ def run_metaslowdel(
             return StoppingRecord(w0=w0, t=t, s_t=s, u=spins, side="lower", payoffs=tuple(payoffs))
         if s > upper:
             return StoppingRecord(w0=w0, t=t, s_t=s, u=spins, side="upper", payoffs=tuple(payoffs))
-    raise GameError(f"no stopping event within {max_epochs} epochs")
+    raise GameError(f"no stopping event within {MAX_EPOCHS} epochs")

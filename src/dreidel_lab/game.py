@@ -182,16 +182,26 @@ class Transcript:
         return True
 
 
-def new_game(config: GameConfig) -> GameState:
-    """Opening state: everyone antes one token, player 0 spins first."""
+def new_custom(stacks: tuple[int, ...] | list[int], config: GameConfig) -> GameState:
+    """Metadreidel start: arbitrary stacks, opening ante already resolved."""
+    stacks = tuple(stacks)
+    if len(stacks) != config.k:
+        raise ValueError(f"expected {config.k} stacks, got {len(stacks)}")
+    if not config.overdraft and any(s < 1 for s in stacks):
+        raise ValueError("every player needs a token for the opening ante")
     return GameState(
         config=config,
         pot=config.k,
-        stacks=(config.n - 1,) * config.k,
+        stacks=tuple(s - 1 for s in stacks),
         turn=0,
         alive=(True,) * config.k,
         spin_index=0,
     )
+
+
+def new_game(config: GameConfig) -> GameState:
+    """Opening state: everyone antes one token, player 0 spins first."""
+    return new_custom((config.n,) * config.k, config)
 
 
 def halb_split(pot: int) -> tuple[int, int]:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .game import GameConfig, Spin, apply_spin, overdraft_spins
-from .epochs import new_custom
+from .game import GameConfig, Spin, apply_spin, new_custom, overdraft_spins
 from .reporting import BoundReport
 from .rng import GANZ
 
@@ -41,6 +40,7 @@ class SignatureTable:
 
 
 MAX_PK = 14  # the longest gamelet body enumerated, in spins
+ALPHA_GRID_STEP = 1e-4  # choose_alpha searches (0, 1/2) on this grid
 
 
 def enumerate_signatures(k: int, p: int) -> SignatureTable:
@@ -115,14 +115,14 @@ def minkowski_check(table: SignatureTable) -> BoundReport:
     return rep
 
 
-def choose_alpha(k: int, grid_step: float = 1e-4) -> float:
+def choose_alpha(k: int) -> float:
     """Largest grid point in (0, 1/2) satisfying the epoch-density margin
     (alpha/64^k)^alpha (1-alpha)^(1-alpha) > 0.76."""
     if k < 2:
         raise ValueError("k >= 2 required")
-    steps = int(0.5 / grid_step)
+    steps = int(0.5 / ALPHA_GRID_STEP)
     for i in range(steps - 1, 0, -1):
-        alpha = i * grid_step
+        alpha = i * ALPHA_GRID_STEP
         value = (alpha / 64.0**k) ** alpha * (1 - alpha) ** (1 - alpha)
         if value > 0.76:
             return alpha

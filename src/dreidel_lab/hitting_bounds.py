@@ -11,6 +11,10 @@ from .kernels import ModChainSpec, SparseKernel, build_duration_chain, build_mod
 from .reporting import BoundReport
 from .solvers import HitSolver, RestrictedLU, absorption_stats, mean_return_time, next_step_mean
 
+START_CAP_PER_N = 8  # the mod chain's pot cap starts at 8n,
+MAX_DOUBLINGS = 6  # doubles at most this many times,
+CAP_TOL = 1e-10  # and stops once a doubling moves no bound quantity this much
+
 
 class TruncationError(RuntimeError):
     """Reported quantities kept moving while the pot cap grew."""
@@ -59,31 +63,26 @@ def _quantities(spec: ModChainSpec) -> dict[str, float]:
     return out
 
 
-def stable_quantities(
-    n: int,
-    flavor: str = "game",
-    tol: float = 1e-10,
-    max_doublings: int = 6,
-) -> tuple[dict[str, float], int, float]:
+def stable_quantities(n: int, flavor: str = "game") -> tuple[dict[str, float], int, float]:
     """Grow the pot cap (doubling from 8n) until every quantity settles.
 
     Returns (quantities, final cap, worst step-to-step change).
     """
-    p_max = 8 * n
+    p_max = START_CAP_PER_N * n
     prev = _quantities(ModChainSpec(n=n, p_max=p_max, flavor=flavor))
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         p_max *= 2
         cur = _quantities(ModChainSpec(n=n, p_max=p_max, flavor=flavor))
         drift = max(abs(cur[k] - prev[k]) for k in cur)
-        if drift < tol:
+        if drift < CAP_TOL:
             return cur, p_max, drift
         prev = cur
     raise TruncationError(f"quantities unstable after cap {p_max}")
 
 
-def bound_tables(n: int, flavor: str = "game", tol: float = 1e-10) -> BoundReport:
+def bound_tables(n: int, flavor: str = "game") -> BoundReport:
     """Every inequality of the fast/slow Markov analysis, with verdicts."""
-    q, p_max, drift = stable_quantities(n, flavor=flavor, tol=tol)
+    q, p_max, drift = stable_quantities(n, flavor=flavor)
     rep = BoundReport(f"hitting bounds, n={n}, flavor={flavor}, cap={p_max}")
     for m in range(1, n + 2):
         rep.check_ge(f"A_{m} >= 1/(m+3)", q[f"A_{m}"], 1.0 / (m + 3))
@@ -96,7 +95,7 @@ def bound_tables(n: int, flavor: str = "game", tol: float = 1e-10) -> BoundRepor
     mu_d = absorption_stats(build_duration_chain(n), (2, n - 1)).expected_time
     rep.check_le("mu_d <= mu0/p_f", mu_d, q["mu0"] / q["p_f"], slack=1e-6)
     rep.report_only("mu_d", mu_d)
-    rep.check_le("cap stability drift", drift, tol)
+    rep.check_le("cap stability drift", drift, CAP_TOL)
     return rep
 
 
@@ -130,7 +129,6 @@ def identity_checks(
     flavor: str = "game",
     n_queries: int = 100,
     seed: int = 0,
-    p_max: int | None = None,
 ) -> IdentityResiduals:
     """Complementarity / translation-invariance / duality residuals on a
     grid of random pot-2 hitting queries.
@@ -138,7 +136,7 @@ def identity_checks(
     The first two are algebraic identities of the truncated chain and
     must vanish to solver precision; duality is reported as measured.
     """
-    spec = ModChainSpec(n=n, p_max=p_max or 8 * n, flavor=flavor)
+    spec = ModChainSpec(n=n, p_max=START_CAP_PER_N * n, flavor=flavor)
     lam = spec.lam
     kernel = build_mod_chain(spec)
     flavor_tag = {"game": 0, "formal": 1}[flavor]

@@ -39,6 +39,10 @@ P_LOSS_1 = ("loss", 1)  # P1 eliminated: P2 wins
 P_LOSS_2 = ("loss", 2)
 GAME_OVER = "game over"  # the duration chain's one absorbing state
 
+ROW_SUM_TOL = 1e-12  # largest |row sum - 1| a kernel may have
+POWER_TOL = 1e-12  # power iteration stops once an L1 step falls below this
+POWER_MAX_ITER = 2_000_000  # ... or fails after this many steps
+
 
 class SolverError(RuntimeError):
     """A float linear solve or iteration failed its own check."""
@@ -92,7 +96,7 @@ class SparseKernel:
     def rows(self) -> _RowView:
         return _RowView(self.csr)
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         csr = self.csr
         if csr.shape != (self.n_states, self.n_states):
             raise ValueError(f"matrix shape {csr.shape} does not match {self.n_states} states")
@@ -100,7 +104,7 @@ class SparseKernel:
         if bad.size:
             raise ValueError(f"absorbing state {self.states[bad[0]]} has successors")
         totals = np.asarray(csr.sum(axis=1)).ravel()
-        bad = np.flatnonzero(~self.absorbing & ~(np.abs(totals - 1.0) <= tol))
+        bad = np.flatnonzero(~self.absorbing & ~(np.abs(totals - 1.0) <= ROW_SUM_TOL))
         if bad.size:
             raise ValueError(f"row {self.states[bad[0]]} sums to {float(totals[bad[0]])}")
         bad = np.flatnonzero(~(csr.data > 0))
@@ -354,8 +358,7 @@ def matrix_period(csr: sp.csr_matrix) -> int:
     return g if g else 1
 
 
-def diagnostics(kernel_or_csr, compute_stationary: bool = False,
-                tol: float = 1e-12, max_iter: int = 2_000_000) -> ChainDiagnostics:
+def diagnostics(kernel_or_csr, compute_stationary: bool = False) -> ChainDiagnostics:
     if isinstance(kernel_or_csr, SparseKernel):
         csr = kernel_or_csr.csr
     else:
@@ -365,23 +368,23 @@ def diagnostics(kernel_or_csr, compute_stationary: bool = False,
     period = matrix_period(csr) if irreducible else 0
     diag = ChainDiagnostics(irreducible=irreducible, period=period)
     if compute_stationary:
-        pi, residual = power_iteration(csr, tol=tol, max_iter=max_iter)
+        pi, residual = power_iteration(csr)
         diag.stationary = pi
         diag.mean_return = 1.0 / pi
         diag.residual = residual
     return diag
 
 
-def power_iteration(csr: sp.csr_matrix, tol: float = 1e-12, max_iter: int = 2_000_000) -> tuple[np.ndarray, float]:
+def power_iteration(csr: sp.csr_matrix) -> tuple[np.ndarray, float]:
     """Stationary row vector of an ergodic chain by repeated multiplication."""
     n = csr.shape[0]
     pi = np.full(n, 1.0 / n)
     pt = csr.T.tocsr()
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         nxt = pt @ pi
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
-        if residual < tol:
+        if residual < POWER_TOL:
             return pi, float(np.abs(pt @ pi - pi).sum())
-    raise SolverError(f"power iteration did not reach {tol} in {max_iter} steps")
+    raise SolverError(f"power iteration did not reach {POWER_TOL} in {POWER_MAX_ITER} steps")

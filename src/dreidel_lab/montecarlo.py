@@ -21,6 +21,7 @@ from .rng import GANZ, HALB, SHTEL, make_generator
 
 Z99 = 2.576
 CHUNK = 1 << 15
+TAIL_Q_MAX = 15  # epoch-length tails are checked at P(len >= kq+1), q = 0..TAIL_Q_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +327,17 @@ def sample_stopping(k: int, n: int, w0: int, runs: int, seed: int) -> StoppingSa
     s = np.zeros(runs, dtype=np.int64)
     t = np.zeros(runs, dtype=np.int64)
     u = np.zeros(runs, dtype=np.int64)
-    s_out = np.zeros(runs, dtype=np.int64)
-    t_out = np.zeros(runs, dtype=np.int64)
-    u_out = np.zeros(runs, dtype=np.int64)
-    up_out = np.zeros(runs, dtype=bool)
     active = np.arange(runs)
     epoch = 0
-    while active.size:
+    while active.size:  # a run's totals stop changing once it leaves `active`
         y, lengths, _ = _run_epochs(k, active.size, make_generator(seed, epoch))
         s[active] += y
         t[active] += 1
         u[active] += lengths
         sa = s[active]
-        stopped = (sa < lower) | (sa > upper)
-        idx = active[stopped]
-        s_out[idx] = s[idx]
-        t_out[idx] = t[idx]
-        u_out[idx] = u[idx]
-        up_out[idx] = s[idx] > upper
-        active = active[~stopped]
+        active = active[(sa >= lower) & (sa <= upper)]
         epoch += 1
-    return StoppingSample(k=k, n=n, w0=w0, t=t_out, s_t=s_out, u=u_out, side_upper=up_out)
+    return StoppingSample(k=k, n=n, w0=w0, t=t, s_t=s, u=u, side_upper=s > upper)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +367,11 @@ def landslide_report(stats: PayoffStats) -> BoundReport:
     return rep
 
 
-def tail_report(stats: PayoffStats, q_max: int = 15) -> BoundReport:
+def tail_report(stats: PayoffStats) -> BoundReport:
     """Epoch-length and |Y1| tails against the (3/4)-geometric bounds."""
     k = stats.k
     rep = BoundReport(f"tail bounds, k={k}")
-    for q in range(0, q_max + 1):
+    for q in range(0, TAIL_Q_MAX + 1):
         p_hat = stats.tail_ge(k * q + 1, stats.length_hist)
         bound = 0.75**q
         se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / stats.count)
@@ -501,8 +492,8 @@ def scaling_report(
     mode="exact" (k=2 only) solves the absorbing duration chain; mode="mc"
     uses Monte Carlo with `trials` games per n.
     """
-    if len(ns) < 2:
-        raise ValueError("need at least two n values")
+    if len(set(ns)) < 2:
+        raise ValueError("need at least two distinct n values")
     fit = ScalingFit(k=k, mode=mode)
     means = []
     for n in ns:

@@ -16,9 +16,12 @@ from scipy.sparse.linalg import splu
 
 from .kernels import SolverError, SparseKernel  # SolverError also covers the kernels' power iteration
 
+RESIDUAL_TOL = 1e-12  # largest residual of a float solve, relative to max(1, |x|)
+REFINE_ROUNDS = 2  # iterative-refinement steps after each LU solve
 
-def _refine(solve, a: sp.csr_matrix, b: np.ndarray, x: np.ndarray, rounds: int = 2) -> np.ndarray:
-    for _ in range(rounds):
+
+def _refine(solve, a: sp.csr_matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    for _ in range(REFINE_ROUNDS):
         r = b - a @ x
         if np.abs(r).max() < 1e-14 * max(1.0, np.abs(b).max()):
             break
@@ -49,10 +52,9 @@ class RestrictedLU:
     is refined and residual-checked in the original order.
     """
 
-    def __init__(self, kernel: SparseKernel, boundary, tol: float = 1e-12):
+    def __init__(self, kernel: SparseKernel, boundary):
         self.kernel = kernel
         self.boundary = frozenset(boundary)
-        self.tol = tol
         inner = np.ones(kernel.n_states, dtype=bool)
         inner[[kernel.index[s] for s in self.boundary]] = False
         self.unknown = np.flatnonzero(inner)
@@ -73,7 +75,7 @@ class RestrictedLU:
         """x on the unknown states with (I - Q) x = rhs."""
         x = _refine(self._lu_solve, self.a, rhs, self._lu_solve(rhs))
         resid = float(np.abs(rhs - self.a @ x).max())
-        if not np.isfinite(resid) or resid > self.tol * max(1.0, float(np.abs(x).max())):
+        if not np.isfinite(resid) or resid > RESIDUAL_TOL * max(1.0, float(np.abs(x).max())):
             raise SolverError(
                 f"linear solve residual {resid} above tolerance off the boundary {_describe(self.boundary)}"
             )
@@ -260,14 +262,13 @@ class HitSolver:
     """Factors the hitting system for one (target, avoid) boundary once,
     then answers the probability from any start."""
 
-    def __init__(self, kernel: SparseKernel, target: frozenset, avoid: frozenset,
-                 tol: float = 1e-12):
+    def __init__(self, kernel: SparseKernel, target: frozenset, avoid: frozenset):
         if target & avoid:
             raise ValueError("target and avoid sets overlap")
         self.kernel = kernel
         self.target = target
         self.avoid = avoid
-        self.values = RestrictedLU(kernel, target | avoid, tol=tol).harmonic(target)
+        self.values = RestrictedLU(kernel, target | avoid).harmonic(target)
 
     def prob(self, start, first_step_exempt: bool = False) -> float:
         if start in self.target:
@@ -283,8 +284,8 @@ class HitSolver:
 # mean return time
 
 
-def mean_return_time(kernel: SparseKernel, state, tol: float = 1e-12) -> float:
+def mean_return_time(kernel: SparseKernel, state) -> float:
     """Expected number of steps to return to `state` (flow-through chain)."""
-    lu = RestrictedLU(kernel, {state}, tol=tol)
+    lu = RestrictedLU(kernel, {state})
     times = lu._on_states(lu.solve(np.ones(lu.unknown.size)))
     return 1.0 + next_step_mean(kernel, state, times)

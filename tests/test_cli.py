@@ -84,16 +84,25 @@ class TestExitCodes:
         assert err == "error: SolverError: rational solution fails its integer certificate in row 0\n"
 
     def test_unconverged_power_iteration_exits_3(self, tmp_path, capsys, monkeypatch):
-        power_iteration = kernels.power_iteration
-
-        def one_step(csr, tol, max_iter):
-            return power_iteration(csr, tol=tol, max_iter=1)
-
-        monkeypatch.setattr(kernels, "power_iteration", one_step)
+        monkeypatch.setattr(kernels, "POWER_MAX_ITER", 1)
         code, _ = run(tmp_path, ["pot-chain", "--xmax", "20"])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: SolverError: power iteration did not reach") and "in 1 steps" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["report", "--n-list", "8..3"], "error: --n-list '8..3' is empty\n"),
+            (["scaling", "--k", "2", "--n-list", "3,3", "--mode", "exact"], "error: --n-list '3,3' repeats an n\n"),
+        ],
+        ids=["empty", "repeated"],
+    )
+    def test_n_list_that_checks_nothing_is_usage_error(self, tmp_path, capsys, args, message):
+        code, path = run(tmp_path, args)
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not path.exists()
 
 
 class TestOutputs:

@@ -157,9 +157,10 @@ class TestDiagnosticsToy:
         assert diag.period == 1
         assert np.allclose(diag.stationary, [0.5, 0.5], atol=1e-10)
 
-    def test_power_iteration_failure_is_solver_error(self):
+    def test_power_iteration_failure_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr("dreidel_lab.kernels.POWER_MAX_ITER", 1)
         with pytest.raises(SolverError, match="in 1 steps"):
-            power_iteration(build_pot_chain(16).csr, max_iter=1)
+            power_iteration(build_pot_chain(16).csr)
 
 
 def _quarter_rows(step, states) -> dict:

@@ -194,6 +194,10 @@ class TestReports:
         with pytest.raises(ValueError):
             mc.scaling_report(3, [4, 8], mode="exact")
 
+    def test_scaling_needs_two_distinct_n(self):
+        with pytest.raises(ValueError, match="two distinct n"):
+            mc.scaling_report(2, [3, 3], mode="exact")
+
     def test_scaling_exact_slope(self):
         fit = mc.scaling_report(2, [5, 10, 15], mode="exact")
         assert 1.7 < fit.slope < 2.2
