@@ -139,7 +139,7 @@ def cmd_pot_chain(args) -> int:
 
 
 def cmd_hitprob(args) -> int:
-    p_max = args.pmax or hitting_bounds.START_CAP_PER_N * args.n
+    p_max = hitting_bounds.START_CAP_PER_N * args.n if args.pmax is None else args.pmax
     spec = kernels.ModChainSpec(n=args.n, p_max=p_max, flavor=args.flavor)
     kernel = kernels.build_mod_chain(spec)
     lam = spec.lam

@@ -1,7 +1,8 @@
 """Deterministic long-game construction and low-epoch game counting.
 
-The four-phase construction drives any overdraft configuration to a
-balanced boundary, stacks up guaranteed epochs with all-Ganz rounds,
+The restorative phase drives any overdraft configuration to a balanced
+boundary; the four-phase construction starts on one, so its first phase
+is empty.  It stacks up guaranteed epochs with all-Ganz rounds,
 burns spins in zero-payoff gamelet blocks, and closes with a Shtel
 staircase so the last player wins on the final spin of spin ks exactly.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .game import GameConfig, GameState, Spin, apply_spin, new_custom, overdraft_spins
+from .game import GameConfig, GameState, apply_spin, new_game, overdraft_spins
 from .gamelets import choose_alpha, random_gamelet
 from .rng import GANZ, HALB, NISHT, SHTEL
 
@@ -67,7 +68,7 @@ def restorative_sequence(state: GameState) -> RestorativePlan:
 
     def spin(o: int) -> None:
         nonlocal state
-        state, _ = apply_spin(state, Spin(o))
+        state, _ = apply_spin(state, o)
         outcomes.append(o)
 
     if not _endpoint_valid(state):
@@ -142,21 +143,17 @@ def construct_long_game(k: int, n: int, s: int, alpha: float | None = None, *, r
     p = (n - k - 1) // (k * k)
     if p < 1:
         raise InfeasibleError(f"n={n} too small for gamelet blocks with k={k}")
-    start = new_custom([n] * k, GameConfig(k=k, n=n, overdraft=True))
-    plan1 = restorative_sequence(start)
-    m = plan1.m
+    # the start, n - 1 tokens each after the opening ante with a pot of k
+    # and P1 on turn, is already a restorative endpoint: phase 1 is empty
+    start = new_game(GameConfig(k=k, n=n, overdraft=True))
+    m = n - 1
     t_s = math.floor(alpha * s)
-    phase1 = plan1.spins
     phase2 = k * t_s
     phase4 = k * (m + 2)
-    phase3 = k * (s - m - 2) - phase1 - phase2
+    phase3 = k * (s - m - 2) - phase2
     if phase3 < 0:
-        raise InfeasibleError(
-            f"s={s} too small: needs at least {m + 2 + t_s} rounds plus the "
-            f"restorative phase ({phase1} spins)"
-        )
-    outcomes = list(plan1.outcomes)
-    outcomes += [GANZ] * phase2
+        raise InfeasibleError(f"s={s} too small: needs at least {m + 2 + t_s} rounds")
+    outcomes = [GANZ] * phase2
 
     block_len = k * (p * k + 1)
     n_blocks, fill = divmod(phase3, block_len)
@@ -165,16 +162,15 @@ def construct_long_game(k: int, n: int, s: int, alpha: float | None = None, *, r
         outcomes += g * k
     outcomes += [NISHT] * fill
 
-    # closing staircase: phases 2 and 3 are zero-net whole rounds, so the
-    # stacks are still plan1's, and m Shtel rounds leave a token to those
-    # who held more than the minimum m
+    # closing staircase: phases 2 and 3 are zero-net whole rounds, so every
+    # stack is still m; m Shtel rounds move them all into the pot, a Nisht
+    # round passes, and the last player's Ganz takes all k*n tokens
     outcomes += [SHTEL] * (k * m)
-    outcomes += [SHTEL if stack > m else NISHT for stack in plan1.end_state.stacks]
-    outcomes += [NISHT] * (k - 1) + [GANZ]
+    outcomes += [NISHT] * (2 * k - 1) + [GANZ]
 
     plan = PhasePlan(
         k=k, n=n, s=s, alpha=alpha, t_s=t_s, m=m,
-        phase_spins=(phase1, phase2, phase3, phase4),
+        phase_spins=(0, phase2, phase3, phase4),
     )
     epochs, final_w = validate_constructed(start, n, outcomes, t_s)
     return ConstructedGame(plan=plan, outcomes=outcomes, epochs=epochs, final_w=final_w)
@@ -197,7 +193,7 @@ def validate_constructed(start: GameState, n: int, outcomes: list[int], t_s: int
     upper = k * (n - 1)
     went_home_at_end = False
     for t, o in enumerate(outcomes):
-        state, _ = apply_spin(state, Spin(o))
+        state, _ = apply_spin(state, o)
         if t % k == k - 1 and o == GANZ:
             epochs += 1
             w = state.stacks[k - 1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import GameState, GameError, Spin, apply_spin, new_custom  # new_custom: re-exported
+from .game import SPIN_BY_CODE, GameState, GameError, Spin, apply_spin, new_custom  # new_custom: re-exported
 
 MAX_EPOCHS = 10**7  # run_metaslowdel gives up after this many epochs
 
@@ -65,7 +65,7 @@ def run_epoch(state: GameState, rng, epoch_index: int = 0) -> tuple[EpochRecord,
     while True:
         round_closed_epoch = False
         for j in range(k):
-            outcome = Spin(int(rng.integers(0, 4)))
+            outcome = SPIN_BY_CODE[int(rng.integers(0, 4))]
             outcomes.append(outcome)
             state, _ = apply_spin(state, outcome)
             if j == k - 1 and outcome is Spin.GANZ:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache
 
-from .rng import OUTCOME_LETTERS, CODE_BY_LETTER
+from .rng import CODE_BY_LETTER, GANZ, HALB, NISHT, OUTCOME_LETTERS, SHTEL
 
 
 class Spin(IntEnum):
@@ -29,6 +29,9 @@ class Spin(IntEnum):
     @classmethod
     def from_letter(cls, letter: str) -> "Spin":
         return cls(CODE_BY_LETTER[letter])
+
+
+SPIN_BY_CODE = tuple(Spin)  # Spin member by outcome code, without an Enum call
 
 
 class GameError(Exception):
@@ -221,13 +224,24 @@ def overdraft_spins(pot: int, k: int) -> tuple[tuple[int, int, int], ...]:
     return (pot, 0, 0), (k, pot, 1), (remaining, taken, 0), (pot + 1, -1, 0)
 
 
-def _next_alive(alive: tuple[bool, ...], start: int) -> int:
-    k = len(alive)
-    for step in range(1, k + 1):
-        cand = (start + step) % k
-        if alive[cand]:
-            return cand
-    return start
+def _ante(stacks: list[int], alive: list[bool], overdraft: bool, events: list[StepEvent]) -> int:
+    """`ante` on lists, in place: appends the ante event, then the
+    eliminations, and returns the new pot, the number of payers, which is
+    also the number of players still alive."""
+    payers = []
+    eliminated = []
+    for p, live in enumerate(alive):
+        if not live:
+            continue
+        if overdraft or stacks[p] >= 1:
+            stacks[p] -= 1
+            payers.append(p)
+        else:
+            alive[p] = False
+            eliminated.append(StepEvent("eliminated", p))
+    events.append(StepEvent("ante", None, tuple(payers)))
+    events += eliminated
+    return len(payers)
 
 
 def ante(state: GameState) -> tuple[GameState, list[StepEvent]]:
@@ -238,30 +252,11 @@ def ante(state: GameState) -> tuple[GameState, list[StepEvent]]:
     """
     if state.pot != 0:
         raise ValueError("ante requires an empty pot")
-    events: list[StepEvent] = []
     stacks = list(state.stacks)
     alive = list(state.alive)
-    payers = []
-    for p in range(state.config.k):
-        if not alive[p]:
-            continue
-        if state.config.overdraft or stacks[p] >= 1:
-            stacks[p] -= 1
-            payers.append(p)
-        else:
-            alive[p] = False
-            events.append(StepEvent(kind="eliminated", player=p))
-    pot = len(payers)
-    events.insert(0, StepEvent(kind="ante", payers=tuple(payers)))
-    new_state = GameState(
-        config=state.config,
-        pot=pot,
-        stacks=tuple(stacks),
-        turn=state.turn,
-        alive=tuple(alive),
-        spin_index=state.spin_index,
-    )
-    return new_state, events
+    events: list[StepEvent] = []
+    pot = _ante(stacks, alive, state.config.overdraft, events)
+    return GameState(state.config, pot, tuple(stacks), state.turn, tuple(alive), state.spin_index), events
 
 
 def apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameState, list[StepEvent]]:
@@ -271,66 +266,50 @@ def apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameState, list[S
     pot is never left empty. A Shtel by a broke player (non-overdraft)
     eliminates the spinner and leaves the pot unchanged.
     """
-    if state.terminated:
+    alive = list(state.alive)
+    n_alive = sum(alive)
+    if n_alive <= 1:
         raise GameOverError("game already terminated")
-    outcome = Spin(outcome)
     cfg = state.config
     spinner = state.turn
     pot = state.pot
     stacks = list(state.stacks)
-    alive = list(state.alive)
     events: list[StepEvent] = []
 
-    if outcome is Spin.NISHT:
+    if outcome == NISHT:
         pass
-    elif outcome is Spin.GANZ:
+    elif outcome == GANZ:
         stacks[spinner] += pot
         pot = 0
-    elif outcome is Spin.HALB:
-        taken, remaining = halb_split(pot)
+    elif outcome == HALB:
+        taken, pot = halb_split(pot)
         stacks[spinner] += taken
-        pot = remaining
-    else:  # SHTEL
+    elif outcome == SHTEL:
         if cfg.overdraft or stacks[spinner] >= 1:
             stacks[spinner] -= 1
             pot += 1
         else:
+            n_alive -= alive[spinner]
             alive[spinner] = False
-            events.append(StepEvent(kind="eliminated", player=spinner))
+            events.append(StepEvent("eliminated", spinner))
+    else:
+        Spin(outcome)  # raises the ValueError that names the invalid code
 
-    mid = GameState(
-        config=cfg,
-        pot=pot,
-        stacks=tuple(stacks),
-        turn=spinner,
-        alive=tuple(alive),
-        spin_index=state.spin_index,
-    )
     if pot == 0:
-        mid, ante_events = ante(mid)
-        events.extend(ante_events)
+        pot = n_alive = _ante(stacks, alive, cfg.overdraft, events)
 
-    alive = list(mid.alive)
-    n_alive = sum(alive)
     if n_alive == 1:
-        winner = alive.index(True)
-        events.append(StepEvent(kind="won", player=winner))
-        turn = winner
+        turn = alive.index(True)
+        events.append(StepEvent("won", turn))
     elif n_alive == 0:
-        events.append(StepEvent(kind="no_survivor"))
+        events.append(StepEvent("no_survivor"))
         turn = spinner
     else:
-        turn = _next_alive(tuple(alive), spinner)
-
-    final = GameState(
-        config=cfg,
-        pot=mid.pot,
-        stacks=mid.stacks,
-        turn=turn,
-        alive=mid.alive,
-        spin_index=state.spin_index + 1,
-    )
-    return final, events
+        k = len(alive)
+        turn = (spinner + 1) % k
+        while not alive[turn]:
+            turn = (turn + 1) % k
+    return GameState(cfg, pot, tuple(stacks), turn, tuple(alive), state.spin_index + 1), events
 
 
 def play_game(config: GameConfig, seed_or_rng) -> Transcript:
@@ -348,7 +327,7 @@ def play_game(config: GameConfig, seed_or_rng) -> Transcript:
     while not state.terminated:
         if state.spin_index >= config.spin_cap:
             raise SpinCapExceeded(f"game exceeded {config.spin_cap} spins")
-        outcome = Spin(int(rng.integers(0, 4)))
+        outcome = SPIN_BY_CODE[int(rng.integers(0, 4))]
         spinner = state.turn
         state, events = apply_spin(state, outcome)
         transcript.entries.append(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .game import GameConfig, Spin, apply_spin, new_custom, overdraft_spins
+from .game import GameConfig, apply_spin, new_custom, overdraft_spins
 from .reporting import BoundReport
 from .rng import GANZ
 
@@ -169,7 +169,7 @@ def _zero_payoff_and_legal(k: int, n: int, outcomes: list[int]) -> bool:
     state = new_custom([n] * k, config)
     start_stacks = state.stacks
     for o in outcomes:
-        state, events = apply_spin(state, Spin(o))
+        state, events = apply_spin(state, o)
         if any(ev.kind == "eliminated" for ev in events):
             return False
     return state.stacks == start_stacks and state.pot == k

@@ -252,6 +252,8 @@ class ModChainSpec:
     def __post_init__(self):
         if self.flavor not in ("game", "formal"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
+        if self.n < 1:
+            raise ValueError("n >= 1 required")
         if self.p_max < 4:
             raise ValueError("p_max >= 4 required")
 

@@ -32,6 +32,8 @@ class ScriptedSource:
 
     def __init__(self, codes: Iterable[int]):
         self._codes = np.fromiter(codes, dtype=np.int64)
+        if ((self._codes < 0) | (self._codes > 3)).any():
+            raise ValueError("scripted source only yields spin codes")
         self._pos = 0
 
     def integers(self, low: int, high: int, size=None):

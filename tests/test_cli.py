@@ -104,6 +104,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == message
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["hitprob", "--n", "3", "--pmax", "0", "--y1", "2", "--z1", "1", "--y2", "3", "--z2", "1",
+              "--y3", "1", "--z3", "1"], "error: p_max >= 4 required\n"),
+            (["bounds", "--n", "0"], "error: n >= 1 required\n"),
+            (["bounds", "--n", "-2"], "error: n >= 1 required\n"),
+            (["report", "--n-list", "0..3"], "error: n >= 1 required\n"),
+            (["hitprob", "--n", "0", "--y1", "0", "--z1", "1", "--y2", "1", "--z2", "1",
+              "--y3", "2", "--z3", "1"], "error: n >= 1 required\n"),
+        ],
+        ids=["pmax-0", "bounds-n-0", "bounds-n-negative", "report-n-0", "hitprob-n-0"],
+    )
+    def test_out_of_range_n_or_cap_is_usage_error(self, tmp_path, capsys, args, message):
+        code, path = run(tmp_path, args)
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not path.exists()
+
 
 class TestOutputs:
     def test_header_has_runspec(self, tmp_path, capsys):

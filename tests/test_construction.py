@@ -8,7 +8,7 @@ import pytest
 
 from dreidel_lab import construction as cx
 from dreidel_lab.epochs import new_custom
-from dreidel_lab.game import GameConfig, GameState, Spin, apply_spin
+from dreidel_lab.game import GameConfig, GameState, Spin, apply_spin, new_game
 from dreidel_lab.rng import GANZ, HALB, SHTEL, make_generator
 
 
@@ -78,6 +78,14 @@ class TestConstructLongGame:
     def test_infeasible_small_s(self):
         with pytest.raises(cx.InfeasibleError):
             cx.construct_long_game(2, 20, 3, rng=make_generator(0))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_start_is_a_restorative_endpoint(self, k):
+        # why the construction has no restorative phase of its own
+        for n in range(1, 60):
+            start = new_game(GameConfig(k=k, n=n, overdraft=True))
+            plan = cx.restorative_sequence(start)
+            assert (plan.spins, plan.m, plan.end_state) == (0, n - 1, start)
 
     def test_infeasible_small_n(self):
         with pytest.raises(cx.InfeasibleError):

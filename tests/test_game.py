@@ -1,7 +1,10 @@
 """Rules-engine unit tests: exact semantics, no tolerances."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dreidel_lab.game import (
     GameConfig,
@@ -9,7 +12,9 @@ from dreidel_lab.game import (
     GameState,
     Spin,
     SpinCapExceeded,
+    StepEvent,
     Transcript,
+    TranscriptEntry,
     ante,
     apply_spin,
     halb_split,
@@ -169,6 +174,11 @@ class TestScriptedSource:
         with pytest.raises(IndexError, match="exhausted"):
             src.integers(0, 4)
 
+    @pytest.mark.parametrize("codes", [[0, 4], [-1]])
+    def test_rejects_codes_that_are_not_spins(self, codes):
+        with pytest.raises(ValueError, match="only yields spin codes"):
+            ScriptedSource(codes)
+
 
 class TestPlayGame:
     def test_n1_terminates_fast(self):
@@ -235,3 +245,178 @@ def test_conservation_and_monotone_alive(k, n, seed):
 def test_transcript_replay_property(k, n, seed):
     tr = play_game(GameConfig(k=k, n=n), seed)
     assert tr.replay_matches()
+
+
+# ---------------------------------------------------------------------------
+# reference engine: the rules as first written, one GameState per step
+
+
+def reference_next_alive(alive: tuple[bool, ...], start: int) -> int:
+    k = len(alive)
+    for step in range(1, k + 1):
+        cand = (start + step) % k
+        if alive[cand]:
+            return cand
+    return start
+
+
+def reference_ante(state: GameState) -> tuple[GameState, list[StepEvent]]:
+    """Everyone donates one token to the empty pot.
+
+    In non-overdraft mode, players sitting on zero tokens are eliminated
+    simultaneously and donate nothing.
+    """
+    if state.pot != 0:
+        raise ValueError("ante requires an empty pot")
+    events: list[StepEvent] = []
+    stacks = list(state.stacks)
+    alive = list(state.alive)
+    payers = []
+    for p in range(state.config.k):
+        if not alive[p]:
+            continue
+        if state.config.overdraft or stacks[p] >= 1:
+            stacks[p] -= 1
+            payers.append(p)
+        else:
+            alive[p] = False
+            events.append(StepEvent(kind="eliminated", player=p))
+    pot = len(payers)
+    events.insert(0, StepEvent(kind="ante", payers=tuple(payers)))
+    new_state = GameState(
+        config=state.config,
+        pot=pot,
+        stacks=tuple(stacks),
+        turn=state.turn,
+        alive=tuple(alive),
+        spin_index=state.spin_index,
+    )
+    return new_state, events
+
+
+def reference_apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameState, list[StepEvent]]:
+    """Resolve one spin by the player on turn.
+
+    Ganz empties the pot and the ante fires within the same spin, so the
+    pot is never left empty. A Shtel by a broke player (non-overdraft)
+    eliminates the spinner and leaves the pot unchanged.
+    """
+    if state.terminated:
+        raise GameOverError("game already terminated")
+    outcome = Spin(outcome)
+    cfg = state.config
+    spinner = state.turn
+    pot = state.pot
+    stacks = list(state.stacks)
+    alive = list(state.alive)
+    events: list[StepEvent] = []
+
+    if outcome is Spin.NISHT:
+        pass
+    elif outcome is Spin.GANZ:
+        stacks[spinner] += pot
+        pot = 0
+    elif outcome is Spin.HALB:
+        taken, remaining = halb_split(pot)
+        stacks[spinner] += taken
+        pot = remaining
+    else:  # SHTEL
+        if cfg.overdraft or stacks[spinner] >= 1:
+            stacks[spinner] -= 1
+            pot += 1
+        else:
+            alive[spinner] = False
+            events.append(StepEvent(kind="eliminated", player=spinner))
+
+    mid = GameState(
+        config=cfg,
+        pot=pot,
+        stacks=tuple(stacks),
+        turn=spinner,
+        alive=tuple(alive),
+        spin_index=state.spin_index,
+    )
+    if pot == 0:
+        mid, ante_events = reference_ante(mid)
+        events.extend(ante_events)
+
+    alive = list(mid.alive)
+    n_alive = sum(alive)
+    if n_alive == 1:
+        winner = alive.index(True)
+        events.append(StepEvent(kind="won", player=winner))
+        turn = winner
+    elif n_alive == 0:
+        events.append(StepEvent(kind="no_survivor"))
+        turn = spinner
+    else:
+        turn = reference_next_alive(tuple(alive), spinner)
+
+    final = GameState(
+        config=cfg,
+        pot=mid.pot,
+        stacks=mid.stacks,
+        turn=turn,
+        alive=mid.alive,
+        spin_index=state.spin_index + 1,
+    )
+    return final, events
+
+
+def reference_play_game(config: GameConfig, seed: int) -> Transcript:
+    rng = make_generator(seed)
+    state = new_game(config)
+    transcript = Transcript(config=config)
+    while not state.terminated:
+        outcome = Spin(int(rng.integers(0, 4)))
+        spinner = state.turn
+        state, events = reference_apply_spin(state, outcome)
+        transcript.entries.append(
+            TranscriptEntry(state.spin_index - 1, spinner, outcome, state.pot, state.stacks, tuple(events))
+        )
+    transcript.terminal = f"won:{state.winner}" if state.num_alive == 1 else "no_survivor"
+    return transcript
+
+
+def result_or_error(step, *args):
+    try:
+        return step(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def any_state(draw):
+    """Any (state, outcome) the engine can be handed, legal or not: dead
+    seats (the spinner's too), negative stacks and pots, finished games,
+    and codes outside 0..3."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    config = GameConfig(k=k, n=draw(st.integers(min_value=1, max_value=6)), overdraft=draw(st.booleans()))
+    state = GameState(
+        config,
+        draw(st.integers(min_value=-3, max_value=15)),
+        tuple(draw(st.lists(st.integers(min_value=-3, max_value=12), min_size=k, max_size=k))),
+        draw(st.integers(min_value=0, max_value=k - 1)),
+        tuple(draw(st.lists(st.booleans(), min_size=k, max_size=k))),
+        draw(st.integers(min_value=0, max_value=50)),
+    )
+    return state, draw(st.sampled_from([0, 1, 2, 3, 4, -1, np.int64(2), *Spin]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=any_state())
+@example(case=(GameState(GameConfig(3, 4), 3, (0, 5, 5), 0, (False, True, True), 9), Spin.SHTEL))  # a dead spinner
+def test_apply_spin_matches_reference(case):
+    """The same (state, events), or the same exception type and message."""
+    state, outcome = case
+    assert result_or_error(apply_spin, state, outcome) == result_or_error(reference_apply_spin, state, outcome)
+    emptied = replace(state, pot=0)
+    assert result_or_error(ante, emptied) == result_or_error(reference_ante, emptied)
+    assert result_or_error(ante, state) == result_or_error(reference_ante, state)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_play_game_matches_reference(k):
+    for seed in range(200):
+        config = GameConfig(k=k, n=1 + seed % 5)
+        assert play_game(config, seed).to_json() == reference_play_game(config, seed).to_json()
