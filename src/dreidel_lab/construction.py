@@ -140,6 +140,8 @@ def construct_long_game(k: int, n: int, s: int, alpha: float | None = None, *, r
     last player winning."""
     if alpha is None:
         alpha = choose_alpha(k)
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"alpha={alpha} must lie in [0, 1]")
     p = (n - k - 1) // (k * k)
     if p < 1:
         raise InfeasibleError(f"n={n} too small for gamelet blocks with k={k}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ModChainSpec, SparseKernel, build_duration_chain, build_mod_chain
+from .kernels import ModChainSpec, build_duration_chain, build_mod_chain
 from .reporting import BoundReport
 from .solvers import HitSolver, RestrictedLU, absorption_stats, mean_return_time, next_step_mean
 
@@ -20,11 +20,11 @@ class TruncationError(RuntimeError):
     """Reported quantities kept moving while the pot cap grew."""
 
 
-def _green_hits(kernel: SparseKernel, avoid, queries) -> list[float]:
-    """P_x(hit a before `avoid`) for each (x, a) in `queries`, from one
-    factorization of G = (I - P off {avoid})^-1 as G(x, a) / G(a, a)."""
-    lu = RestrictedLU(kernel, {avoid})
-    index = kernel.index
+def _green_hits(lu: RestrictedLU, queries) -> list[float]:
+    """P_x(hit a before `avoid`) for each (x, a) in `queries`, as
+    G(x, a) / G(a, a) from one Green's-function column per query, with
+    G = (I - P off {avoid})^-1 and `lu` a solver off {avoid}."""
+    index = lu.kernel.index
     out = []
     for x, a in queries:
         g = lu.green(a)
@@ -33,33 +33,37 @@ def _green_hits(kernel: SparseKernel, avoid, queries) -> list[float]:
 
 
 def _quantities(spec: ModChainSpec) -> dict[str, float]:
-    """Every bound-table quantity on one mod chain instance, from five
-    factorizations; each is released before the next one is made."""
+    """Every bound-table quantity on one mod chain instance, from two
+    factorizations.  One LU off {s0} gives mu0 directly and serves A, B
+    and omega, whose small boundaries it reaches by low-rank updates; p_f
+    has its own LU off the end states, made once the first is released."""
     n = spec.n
     lam = spec.lam
     kernel = build_mod_chain(spec)
     y1 = (n - 1) % lam
     s0 = spec.start  # (2, y1, 1)
+    base = RestrictedLU(kernel, {s0})
     out: dict[str, float] = {}
 
     # A_m: reach (2, y1 + m, 2) before (2, y1 - 1, 1); B_m mirrors it
     ms = range(1, n + 2)
     for name, sign in (("A", 1), ("B", -1)):
         targets = [(s0, (2, (y1 + sign * m) % lam, 2)) for m in ms]
-        probs = _green_hits(kernel, (2, (y1 - sign) % lam, 1), targets)
+        probs = _green_hits(RestrictedLU(kernel, {(2, (y1 - sign) % lam, 1)}, base=base), targets)
         out.update((f"{name}_{m}", p) for m, p in zip(ms, probs))
 
     # omega1: reach y = n before n-1, n-2; omega2: reach n-2 before n-1, n;
     # both leave s0 = (2, n-1, 1) on the first step
     points = [(2, (n + d) % lam, 1) for d in (-2, -1, 0)]
-    lu = RestrictedLU(kernel, points)
+    lu = RestrictedLU(kernel, points, base=base)
     out["omega1"] = next_step_mean(kernel, s0, lu.harmonic({points[2]}))
     out["omega2"] = next_step_mean(kernel, s0, lu.harmonic({points[0]}))
-    del lu
+    mu0 = mean_return_time(base)
+    del lu, base
 
     ends = frozenset(spec.end_states())
     out["p_f"] = HitSolver(kernel, ends, frozenset({s0})).prob(s0, first_step_exempt=True)
-    out["mu0"] = mean_return_time(kernel, s0)
+    out["mu0"] = mu0
     return out
 
 
@@ -134,7 +138,8 @@ def identity_checks(
     grid of random pot-2 hitting queries.
 
     The first two are algebraic identities of the truncated chain and
-    must vanish to solver precision; duality is reported as measured.
+    must vanish to solver precision; duality is reported as measured (it
+    holds to solver precision in the game flavor, not in the formal one).
     """
     spec = ModChainSpec(n=n, p_max=START_CAP_PER_N * n, flavor=flavor)
     lam = spec.lam
@@ -162,14 +167,19 @@ def identity_checks(
             tuple(pot2(-y - 2, 3 - z) for y, z in yz),
         ]
 
-    # one Green's function per avoid state, so p and p_swap come from
-    # different factorizations
+    # one LU per call; each avoid state b has its own boundary system off
+    # {b}, solved through that LU by a low-rank update and residual-checked
+    # against I - P off {b} itself.  So p (off {b}) and p_swap (off {a})
+    # come from two different systems, each checked on its own, and
+    # complementarity is a real check.
+    base = RestrictedLU(kernel, {spec.start})
     by_avoid: dict = {}
     for slot, (x, a, b) in enumerate(queries):
         by_avoid.setdefault(b, []).append((slot, x, a))
     probs = np.empty(len(queries))
     for b, group in by_avoid.items():
-        probs[[slot for slot, _, _ in group]] = _green_hits(kernel, b, [(x, a) for _, x, a in group])
+        lu = RestrictedLU(kernel, {b}, base=base)
+        probs[[slot for slot, _, _ in group]] = _green_hits(lu, [(x, a) for _, x, a in group])
     p, p_swap, p_shift, p_dual = probs.reshape(-1, 4).T
     return IdentityResiduals(
         n=n,

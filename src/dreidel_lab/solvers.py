@@ -48,32 +48,88 @@ class RestrictedLU:
     McKee 1969), not SuperLU's default COLAMD order: on the game chain at
     n = 60 this cuts L + U from 8.4M to 6.3M nonzeros and the factor time
     about fourfold, while on the mod chains it adds some fill at about
-    the same time.  `order[i]` is the unknown factored i-th.  Every solve
-    is refined and residual-checked in the original order.
+    the same time.  `order[i]` is the unknown factored i-th.
+
+    Given `base`, a factorization off another boundary R of the same
+    kernel, nothing is factored: the system off this boundary B is solved
+    through the base's LU by a Woodbury capacitance update (Hager,
+    "Updating the inverse of a matrix", SIAM Review 31, 1989).  On the
+    whole state space, let M_R be I - P with the rows of R replaced by
+    identity rows; M_B differs from M_R only in the m rows of B delta R,
+    a rank-m change.  It is applied one row at a time (Sherman-Morrison),
+    which factors the m x m capacitance matrix in a fixed pivot order:
+    states joining the boundary first, each pivot the Green's function
+    G(d, d) >= 1, then states leaving it, each pivot the probability of
+    escaping from d to the rest of the boundary before returning.  Every
+    intermediate boundary then contains B.  Setting up costs m base
+    solves, and after that each solve is one base solve.  A pivot below
+    RESIDUAL_TOL, where G(d, d) would exceed what the residual check can
+    certify, marks a singular capacitance matrix and raises `SolverError`.
+
+    Either way every solve is refined and residual-checked against this
+    boundary's own restricted matrix `a`, in the original order, never
+    against the base's: each result is certified on its own terms.
     """
 
-    def __init__(self, kernel: SparseKernel, boundary):
+    def __init__(self, kernel: SparseKernel, boundary, base: RestrictedLU | None = None):
         self.kernel = kernel
         self.boundary = frozenset(boundary)
-        inner = np.ones(kernel.n_states, dtype=bool)
-        inner[[kernel.index[s] for s in self.boundary]] = False
-        self.unknown = np.flatnonzero(inner)
+        if not self.boundary:
+            raise SolverError("I - P off an empty boundary: the boundary must hold at least one state")
+        self._inner = np.ones(kernel.n_states, dtype=bool)
+        self._inner[[kernel.index[s] for s in self.boundary]] = False
+        self.unknown = np.flatnonzero(self._inner)
         self._out = kernel.csr[self.unknown]  # rows leaving the unknown states
         self.a = sp.identity(self.unknown.size, format="csr") - self._out[:, self.unknown]
-        self.order = reverse_cuthill_mckee(self.a, symmetric_mode=False)
-        try:
-            self.lu = splu(self.a[self.order][:, self.order].tocsc(), permc_spec="NATURAL")
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise SolverError(f"I - P off the boundary {_describe(self.boundary)}: {exc}") from None
+        self._base = base
+        if base is None:
+            self.order = reverse_cuthill_mckee(self.a, symmetric_mode=False)
+            try:
+                self.lu = splu(self.a[self.order][:, self.order].tocsc(), permc_spec="NATURAL")
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise SolverError(f"I - P off the boundary {_describe(self.boundary)}: {exc}") from None
+            return
+        if base.kernel is not kernel:
+            raise ValueError("the base factorization is of another kernel")
+        flip = np.flatnonzero(self._inner != base._inner)  # B delta R
+        self._steps = []  # (row d of P, signed, and M^-1 e_d / pivot) per flipped row
+        for d in flip[np.argsort(self._inner[flip], kind="stable")]:  # joining states first
+            w = -kernel.csr[d] if self._inner[d] else kernel.csr[d]
+            e = np.zeros(kernel.n_states)
+            e[d] = 1.0
+            z = self._update(base._lift(e))
+            pivot = 1.0 + (w @ z).item()
+            if not pivot > RESIDUAL_TOL:
+                raise SolverError(f"I - P off the boundary {_describe(self.boundary)}: singular capacitance "
+                                  f"matrix, pivot {pivot:.3g} at {kernel.states[d]}")
+            self._steps.append((w, z / pivot))
 
-    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = np.empty(rhs.size)
-        x[self.order] = self.lu.solve(rhs[self.order])
+    def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """One unrefined solve: through this LU, or updated from the base's."""
+        if self._base is None:
+            x = np.empty(rhs.size)
+            x[self.order] = self.lu.solve(rhs[self.order])
+            return x
+        v = np.zeros(self.kernel.n_states)
+        v[self.unknown] = rhs
+        return self._update(self._base._lift(v))[self.unknown]
+
+    def _update(self, y: np.ndarray) -> np.ndarray:
+        """M_B^-1 M_R y, from the rank-one steps made so far."""
+        for w, z in self._steps:
+            y = y - z * (w @ y).item()
+        return y
+
+    def _lift(self, v: np.ndarray) -> np.ndarray:
+        """M^-1 v on the whole state space, M being I - P with the boundary
+        rows replaced by identity rows: v itself on the boundary."""
+        x = v.copy()
+        x[self.unknown] = self._raw_solve(v[self.unknown] + self._out @ np.where(self._inner, 0.0, v))
         return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x on the unknown states with (I - Q) x = rhs."""
-        x = _refine(self._lu_solve, self.a, rhs, self._lu_solve(rhs))
+        x = _refine(self._raw_solve, self.a, rhs, self._raw_solve(rhs))
         resid = float(np.abs(rhs - self.a @ x).max())
         if not np.isfinite(resid) or resid > RESIDUAL_TOL * max(1.0, float(np.abs(x).max())):
             raise SolverError(
@@ -284,8 +340,11 @@ class HitSolver:
 # mean return time
 
 
-def mean_return_time(kernel: SparseKernel, state) -> float:
-    """Expected number of steps to return to `state` (flow-through chain)."""
-    lu = RestrictedLU(kernel, {state})
+def mean_return_time(lu: RestrictedLU) -> float:
+    """Expected number of steps to return to the one state that `lu` is
+    factored off (flow-through chain)."""
+    if len(lu.boundary) != 1:
+        raise ValueError(f"a return time needs a factorization off one state, not {_describe(lu.boundary)}")
+    (state,) = lu.boundary
     times = lu._on_states(lu.solve(np.ones(lu.unknown.size)))
-    return 1.0 + next_step_mean(kernel, state, times)
+    return 1.0 + next_step_mean(lu.kernel, state, times)

@@ -123,6 +123,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == message
         assert not path.exists()
 
+    @pytest.mark.parametrize("alpha", ["-1", "1.5", "nan"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, tmp_path, capsys, alpha):
+        args = ["construct", "--k", "2", "--n", "30", "--s", "200", "--alpha", alpha, "--seed", "1"]
+        code, path = run(tmp_path, args)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: alpha={float(alpha)} must lie in [0, 1]\n"
+        assert captured.out == ""
+        assert not path.exists()
+
 
 class TestOutputs:
     def test_header_has_runspec(self, tmp_path, capsys):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from dreidel_lab import hitting_bounds as hb
 from dreidel_lab import solvers
-from dreidel_lab.kernels import ModChainSpec, build_mod_chain
+from dreidel_lab.kernels import ModChainSpec, build_mod_chain, build_pot_chain, diagnostics
 from dreidel_lab.solvers import HitSolver
 
 
@@ -126,27 +127,48 @@ class TestGroupedSolves:
         monkeypatch.setattr(solvers, "splu", counting_splu)
         return calls
 
-    def test_quantities_factor_five_times(self, lu_count):
+    def test_quantities_factor_twice(self, lu_count):
+        # one LU off s0 for A, B, omega and mu0, and p_f's own off the end states
         hb._quantities(ModChainSpec(n=4, p_max=32))
-        assert len(lu_count) == 5
+        assert len(lu_count) == 2
 
-    def test_identity_checks_factor_once_per_avoid_state(self, lu_count):
-        n = 8
-        hb.identity_checks(n, "game", n_queries=100)
-        assert len(lu_count) <= 2 * (2 * n + 3)
+    def test_identity_checks_factor_once(self, lu_count):
+        hb.identity_checks(8, "game", n_queries=100)
+        assert len(lu_count) == 1
 
-    def test_complementary_pair_uses_two_factorizations(self, monkeypatch, lu_count):
-        columns = []  # (factorization number, boundary, column state)
+    def test_complementary_pair_uses_two_boundary_systems(self, monkeypatch, lu_count):
+        columns = []  # (boundary, column state)
         green = solvers.RestrictedLU.green
 
         def spy(self, state):
-            columns.append((len(lu_count), self.boundary, state))
+            # the residual check runs on I - P off this boundary, not the base's
+            u = self.unknown
+            assert not {self.kernel.states[i] for i in u} & self.boundary
+            own = sp.identity(u.size, format="csr") - self.kernel.csr[u][:, u]
+            assert abs(self.a - own).max() == 0
+            columns.append((self.boundary, state))
             return green(self, state)
 
         monkeypatch.setattr(solvers.RestrictedLU, "green", spy)
         hb.identity_checks(5, "game", n_queries=1, seed=3)
-        assert len(columns) == 4
-        # p = P(hit a before b) and p_swap = P(hit b before a)
+        assert len(columns) == 4 and len(lu_count) == 1
+        # p = P(hit a before b) off {b} and p_swap = P(hit b before a) off {a}
         pairs = [(u, v) for u in columns for v in columns
-                 if u[1] == frozenset({v[2]}) and v[1] == frozenset({u[2]})]
-        assert pairs and all(u[0] != v[0] for u, v in pairs)
+                 if u[0] == frozenset({v[1]}) and v[0] == frozenset({u[1]})]
+        assert pairs
+
+
+class TestKac:
+    @pytest.fixture(scope="class")
+    def pi2(self):
+        kernel = build_pot_chain(400)
+        return float(diagnostics(kernel, compute_stationary=True).stationary[kernel.index[2]])
+
+    @pytest.mark.parametrize("flavor", ["game", "formal"])
+    @pytest.mark.parametrize("n", [3, 5, 8, 11])
+    def test_mu0_is_kac_return_time(self, pi2, n, flavor):
+        # Kac: mu0 = 1 / pi(s0), and the stationary mass pi_2 of pot 2 is
+        # spread evenly over the Lambda residues y and the two turns z
+        spec = ModChainSpec(n=n, p_max=8 * n, flavor=flavor)
+        want = 2 * spec.lam / pi2
+        assert abs(hb._quantities(spec)["mu0"] - want) < 1e-10 * want

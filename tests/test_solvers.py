@@ -233,12 +233,12 @@ class TestMeanReturn:
     def test_two_state(self):
         # a -> b w.p. 1, b -> a w.p. 1: return time 2
         kernel = toy_kernel("ab", {"a": {"b": 1.0}, "b": {"a": 1.0}})
-        assert abs(mean_return_time(kernel, "a") - 2.0) < 1e-12
+        assert abs(mean_return_time(RestrictedLU(kernel, {"a"})) - 2.0) < 1e-12
 
     def test_lazy_state(self):
         # stay w.p. 1/2: stationary uniform, return time = 2
         kernel = toy_kernel("ab", {"a": {"a": 0.5, "b": 0.5}, "b": {"a": 0.5, "b": 0.5}})
-        assert abs(mean_return_time(kernel, "a") - 2.0) < 1e-12
+        assert abs(mean_return_time(RestrictedLU(kernel, {"a"})) - 2.0) < 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -310,3 +310,48 @@ class TestRestrictedLU:
         g = RestrictedLU(kernel, {b}).green(a)
         want = HitSolver(kernel, frozenset({a}), frozenset({b})).prob(x)
         assert abs(g[kernel.index[x]] / g[kernel.index[a]] - want) < (1e-8 if anywhere else 1e-12)
+
+
+class TestLowRankUpdate:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 4), flavor=st.sampled_from(["game", "formal"]), inside=st.booleans(),
+           data=st.data())
+    def test_update_matches_fresh_factorization(self, n, flavor, inside, data):
+        # a factorization off R reaches the boundary B by a rank-|B delta R|
+        # update; pot-2 states, where the bound tables and identity checks query
+        kernel = _small_mod_chain(n, flavor)
+        pool = [s for s in kernel.states if s[0] == 2]
+        boundary = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        if inside:
+            base_boundary = data.draw(st.lists(st.sampled_from(boundary), min_size=1, unique=True))
+        else:
+            rest = [s for s in pool if s not in boundary]
+            base_boundary = data.draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3, unique=True))
+        base = RestrictedLU(kernel, base_boundary)
+        got = RestrictedLU(kernel, boundary, base=base)
+        want = RestrictedLU(kernel, boundary)
+        target = {boundary[0]}
+        assert np.abs(got.harmonic(target) - want.harmonic(target)).max() < 1e-12
+        state = data.draw(st.sampled_from([s for s in pool if s not in boundary]))
+        g, h = got.green(state), want.green(state)
+        assert np.abs(g - h).max() < 1e-12 * max(1.0, np.abs(h).max())
+
+    def test_empty_boundary_is_solver_error(self):
+        kernel = _small_mod_chain(3, "game")
+        base = RestrictedLU(kernel, {kernel.states[0]})
+        with pytest.raises(SolverError) as exc:
+            RestrictedLU(kernel, set(), base=base)
+        assert "empty boundary" in str(exc.value) and "\n" not in str(exc.value)
+
+    def test_singular_capacitance_is_solver_error(self):
+        # "c" is a closed class off the boundary {a, b}: I - Q is singular there
+        kernel = toy_kernel("abc", {"a": {"b": 0.5, "c": 0.5}, "b": {"a": 1.0}, "c": {"c": 1.0}})
+        base = RestrictedLU(kernel, {"a", "c"})
+        with pytest.raises(SolverError, match=r"boundary \{a, b\}: singular capacitance"):
+            RestrictedLU(kernel, {"a", "b"}, base=base)
+
+    def test_base_boundary_itself_is_the_base(self):
+        kernel = walk_kernel(9, p=0.3, absorbing_ends=False)
+        base = RestrictedLU(kernel, {0, 9})
+        same = RestrictedLU(kernel, {0, 9}, base=base)
+        assert np.abs(same.harmonic({9}) - base.harmonic({9})).max() < 1e-15

@@ -1,7 +1,7 @@
 """Digest of every README CLI command, to compare two checkouts byte for byte.
 
 Runs the README's eleven `dreidel-lab` commands in-process (`simulate`
-with `--jobs 1`), plus five usage errors, in a temporary directory.  Prints one tab-separated line per output file:
+with `--jobs 1`), plus six usage errors, in a temporary directory.  Prints one tab-separated line per output file:
 the command, its exit code, the file (stdout, stderr, or a file the
 command wrote) and the file's sha256.
 
@@ -38,12 +38,14 @@ COMMANDS = [
     "construct --k 2 --n 30 --s 200 --format json",
     "scaling --k 2 --n-list 5,10,15,20,30,40 --mode exact --plot mu.dat",
     "report --n-list 3..8 -o verdicts.md",
-    # usage errors: an empty and a one-point --n-list, a pot cap of 0, and n = 0
+    # usage errors: an empty and a one-point --n-list, a pot cap of 0, n = 0,
+    # and a construction alpha outside [0, 1]
     "report --n-list 8..3",
     "scaling --k 2 --n-list 3,3 --mode exact",
     "hitprob --n 3 --pmax 0 --y1 2 --z1 1 --y2 3 --z2 1 --y3 1 --z3 1",
     "bounds --n 0",
     "report --n-list 0..3",
+    "construct --k 2 --n 30 --s 200 --alpha -1 --seed 1",
 ]
 FILE_FLAGS = ("--plot", "--table", "-o")
 
