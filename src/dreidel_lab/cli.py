@@ -17,20 +17,29 @@ import sys
 from . import construction, gamelets, hitting_bounds, kernels, montecarlo, solvers
 from .game import GameConfig, GameError
 from .reporting import BoundReport, format_csv, format_json, write_text, emit_plot_data
+from .rng import make_generator
 
 
 def _parse_n_list(text: str) -> list[int]:
     """Accept '5,10,20' or '2..8'; reject a list that is empty or repeats an n."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        ns = list(range(int(lo), int(hi) + 1))
-    else:
-        ns = [int(v) for v in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            ns = list(range(int(lo), int(hi) + 1))
+        else:
+            ns = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--n-list {text!r} is not a list of integers like 5,10,20 or 2..8") from None
     if not ns:
         raise ValueError(f"--n-list {text!r} is empty")
     if len(set(ns)) < len(ns):
         raise ValueError(f"--n-list {text!r} repeats an n")
     return ns
+
+
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
 
 
 def _runspec(args: argparse.Namespace) -> dict:
@@ -64,6 +73,7 @@ def _finish_report(args, report: BoundReport, extra_rows: list[list] | None = No
 
 
 def cmd_simulate(args) -> int:
+    _check_jobs(args)
     config = GameConfig(k=args.k, n=args.n)
     est = montecarlo.estimate_mean_duration(config, args.trials, args.seed, jobs=args.jobs)
     _emit(
@@ -174,8 +184,6 @@ def cmd_gamelets(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    from .rng import make_generator
-
     rng = make_generator(args.seed)
     game = construction.construct_long_game(args.k, args.n, args.s, alpha=args.alpha, rng=rng)
     payload = {
@@ -202,6 +210,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    _check_jobs(args)
     ns = _parse_n_list(args.n_list)
     fit = montecarlo.scaling_report(
         args.k, ns, mode=args.mode, trials=args.trials, seed=args.seed, jobs=args.jobs

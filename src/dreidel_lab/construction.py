@@ -243,6 +243,8 @@ def count_low_epoch_games(k: int, s: int, t_s: int, n: int) -> LowEpochCount:
 
     Exact dynamic program (Python integers) over the only state a prefix
     carries: the pot, the last player's stack w and the epochs so far.
+    Each spin's four outcomes come from `game.overdraft_spins`, one step
+    of the array engine `game.SpinBatch`.
     A path is dropped once the last player goes home (w < 0 or
     w > k(n-1) at the end of an epoch) before spin k*s; at spin k*s only
     a Ganz that sends the last player home is kept.

@@ -1,9 +1,12 @@
-"""Rules engine for a single spin-by-spin dreidel game.
+"""The dreidel spin rule, in the program's two engines.
 
-All operations are pure: a GameState is an immutable value and
+The scalar engine is pure: a GameState is an immutable value and
 apply_spin maps (state, outcome) to a new state plus the events that
-fired. Token conservation (pot + sum of stacks = k * n) holds after
-every spin in both modes.
+fired.  It plays single games and is the oracle the tests check the
+array engine against.  The array engine, `SpinBatch`, spins many games
+in lockstep; the Monte Carlo samplers, the Markov kernels and
+`overdraft_spins` all run on it.  Token conservation (pot + sum of
+stacks = k * n) holds after every spin in both modes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,19 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache
 
-from .rng import CODE_BY_LETTER, GANZ, HALB, NISHT, OUTCOME_LETTERS, SHTEL
+import numpy as np
+
+from .rng import (
+    CODE_BY_LETTER,
+    GANZ,
+    HALB,
+    NISHT,
+    OUTCOME_CODES,
+    OUTCOME_LETTERS,
+    SHTEL,
+    ScriptedSource,
+    make_generator,
+)
 
 
 class Spin(IntEnum):
@@ -215,15 +230,6 @@ def halb_split(pot: int) -> tuple[int, int]:
     return taken, pot - taken
 
 
-@cache
-def overdraft_spins(pot: int, k: int) -> tuple[tuple[int, int, int], ...]:
-    """Every overdraft spin from `pot` with k players, indexed by outcome
-    code: (pot after the spin, the spinner's gain, the ante everyone pays).
-    A Ganz empties the pot and all k players ante at once."""
-    taken, remaining = halb_split(pot)
-    return (pot, 0, 0), (k, pot, 1), (remaining, taken, 0), (pot + 1, -1, 0)
-
-
 def _ante(stacks: list[int], alive: list[bool], overdraft: bool, events: list[StepEvent]) -> int:
     """`ante` on lists, in place: appends the ante event, then the
     eliminations, and returns the new pot, the number of payers, which is
@@ -312,13 +318,100 @@ def apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameState, list[S
     return GameState(cfg, pot, tuple(stacks), turn, tuple(alive), state.spin_index + 1), events
 
 
+class SpinBatch:
+    """m dreidel games spun in lockstep: the array form of `apply_spin`.
+
+    Player i of game j holds stacks[i, j] - antes[j] tokens.  Stacks are
+    stored net of the antes every live player has paid, so an ante costs
+    one counter per game.  Seats take turns on one clock shared by all
+    games, and a seat that is out of a game skips its turn there without
+    spinning, so a batch of one game spins exactly as `play_game` does.
+    With overdraft, stacks may go negative and nobody is ever eliminated;
+    without it, a broke player who must pay is out.
+    """
+
+    def __init__(self, k: int, m: int, stack: int, overdraft: bool):
+        self.k = k
+        self.overdraft = overdraft
+        self.seat = 0  # the seat on turn in every game
+        self.pot = np.full(m, k, dtype=np.int64)
+        self.stacks = np.full((k, m), stack, dtype=np.int64)
+        self.antes = np.zeros(m, dtype=np.int64)
+        self.alive = np.ones((k, m), dtype=bool)
+        self.live = np.full(m, k, dtype=np.int64)  # players left per game
+
+    def step(self, rng) -> np.ndarray:
+        """One spin by the seat on turn in every game it is still in.
+
+        Draws one outcome per spinning game in a single call, and returns
+        the outcome per game, -1 where the seat sat out.
+        """
+        seat = self.seat
+        self.seat = (seat + 1) % self.k
+        on = self.alive[seat]
+        every = self.overdraft or bool(on.all())
+        idx = slice(None) if every else np.flatnonzero(on)
+        pot = self.pot[idx]  # views when every game spins, copies otherwise
+        mine = self.stacks[seat, idx]
+        o = np.asarray(rng.integers(0, 4, size=pot.size))
+        g = o == GANZ
+        s = o == SHTEL
+        take = (o == HALB) * (pot >> 1) + g * pot
+        if not self.overdraft:
+            broke = s & (mine == self.antes[idx])
+            if broke.any():  # the spinner cannot pay: out, pot unchanged
+                s ^= broke
+                out = np.flatnonzero(broke) if every else idx[broke]
+                self.alive[seat, out] = False
+                self.live[out] -= 1
+        mine += take - s
+        pot += s - take
+        if self.overdraft:  # a Ganz empties the pot and all k players ante
+            pot += self.k * g
+            self.antes += g
+            return o
+        if not every:
+            self.pot[idx] = pot
+            self.stacks[seat, idx] = mine
+        gi = np.flatnonzero(g) if every else idx[g]
+        if gi.size:  # ante after a Ganz: players on zero are out
+            pays = self.alive[:, gi] & (self.stacks[:, gi] > self.antes[gi])
+            self.alive[:, gi] = pays
+            self.antes[gi] += 1
+            self.pot[gi] = self.live[gi] = pays.sum(axis=0)
+        if every:
+            return o
+        full = np.full(on.size, -1, dtype=o.dtype)
+        full[idx] = o
+        return full
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop the games where `rows` is False."""
+        self.pot = self.pot[rows]
+        self.stacks = self.stacks[:, rows]
+        self.antes = self.antes[rows]
+        self.alive = self.alive[:, rows]
+        self.live = self.live[rows]
+
+
+@cache
+def overdraft_spins(pot: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """Every overdraft spin from `pot` with k players, indexed by outcome
+    code: (pot after the spin, the spinner's gain, the ante everyone pays).
+    A Ganz empties the pot and all k players ante at once.  Read off one
+    `SpinBatch` step of four games, one per outcome; stacks are stored net
+    of antes, so the spinner's stack is the gross gain."""
+    batch = SpinBatch(k, 4, 0, overdraft=True)
+    batch.pot[:] = pot
+    batch.step(ScriptedSource(OUTCOME_CODES))
+    return tuple(zip(batch.pot.tolist(), batch.stacks[0].tolist(), batch.antes.tolist()))
+
+
 def play_game(config: GameConfig, seed_or_rng) -> Transcript:
     """Play one full game with uniform spins and record the transcript."""
     if config.overdraft:
         raise ValueError("play_game requires a non-overdraft config")
     if isinstance(seed_or_rng, int):
-        from .rng import make_generator
-
         rng = make_generator(seed_or_rng)
     else:
         rng = seed_or_rng

@@ -49,7 +49,8 @@ def enumerate_signatures(k: int, p: int) -> SignatureTable:
     Exact dynamic count over (pot, delta) summaries: sequences with the
     same running pot and per-role deltas are interchangeable, and the
     last role's delta is pot-implied, so only roles 0..k-2 are carried
-    and the state space stays tiny.
+    and the state space stays tiny.  Each spin's four outcomes come from
+    `game.overdraft_spins`, one step of the array engine `game.SpinBatch`.
     """
     if k < 2 or p < 1:
         raise ValueError("need k >= 2 and p >= 1")
@@ -139,9 +140,9 @@ def concat_check(k: int, p: int, n_tuples: int, rng, pool_size: int = 4000) -> B
     """Sample signature-matched k-tuples of gamelets and verify that each
     concatenation is legal and zero-payoff for every player.
 
-    Legality is checked by replaying the concatenation through the real
-    rules engine from a fresh dreidel start with n just above the block
-    length: no player may ever be eliminated.
+    Legality is checked by replaying the concatenation through the scalar
+    rules engine `game.apply_spin` from a fresh dreidel start with n just
+    above the block length: no player may ever be eliminated.
     """
     n = p * k * k + k + 1
     rep = BoundReport(f"gamelet concatenation, k={k}, p={p}, n={n}")

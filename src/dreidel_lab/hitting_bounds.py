@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ModChainSpec, build_duration_chain, build_mod_chain
+from .kernels import ModChainSpec, build_mod_chain
 from .reporting import BoundReport
-from .solvers import HitSolver, RestrictedLU, absorption_stats, mean_return_time, next_step_mean
+from .solvers import HitSolver, RestrictedLU, exact_mean_duration, mean_return_time, next_step_mean
 
 START_CAP_PER_N = 8  # the mod chain's pot cap starts at 8n,
 MAX_DOUBLINGS = 6  # doubles at most this many times,
@@ -96,7 +96,7 @@ def bound_tables(n: int, flavor: str = "game") -> BoundReport:
     rep.check_ge("p_f >= 1/(4(n+63))", q["p_f"], 1.0 / (4 * (n + 63)))
     rep.check_le("mu0 <= 13(2n+3)/3", q["mu0"], 13 * (2 * n + 3) / 3, slack=1e-6)
 
-    mu_d = absorption_stats(build_duration_chain(n), (2, n - 1)).expected_time
+    mu_d = exact_mean_duration(n)
     rep.check_le("mu_d <= mu0/p_f", mu_d, q["mu0"] / q["p_f"], slack=1e-6)
     rep.report_only("mu_d", mu_d)
     rep.check_le("cap stability drift", drift, CAP_TOL)

@@ -12,9 +12,9 @@ Four chains are built here:
 
 Each kernel is one CSR matrix over its numbered states.  The game,
 duration and mod-Lambda chains spin their whole state grid through the
-array engine `montecarlo.SpinBatch`, one batch per forced outcome, with
-the spinner on seat 0; `mod_chain_step` is the same step through the
-scalar engine `game.apply_spin`, which tests check every row against.
+array engine `game.SpinBatch`, one batch per forced outcome, with the
+spinner on seat 0; the tests check every row against the scalar engine
+`game.apply_spin`.
 
 Pot overflow in the mod chain is truncated: a Shtel at the cap leaves
 the pot coordinate in place (the other coordinates still update).
@@ -31,8 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .game import GameConfig, GameState, apply_spin
-from .montecarlo import SpinBatch
+from .game import SpinBatch
 from .rng import OUTCOME_CODES, ScriptedSource
 
 P_LOSS_1 = ("loss", 1)  # P1 eliminated: P2 wins
@@ -282,29 +281,15 @@ class ModChainSpec:
         ]
 
 
-def _y_seat(spec: ModChainSpec, z) -> np.ndarray:
-    """The seat holding y when the spinner sits on seat 0: the spinner's on
-    P1's spins (on every spin, in the formal flavor), else the other."""
-    return np.where((z == 1) | (spec.flavor == "formal"), 0, 1)
-
-
-def mod_chain_step(spec: ModChainSpec, state: tuple[int, int, int], outcome: int) -> tuple[int, int, int]:
-    """One spin of the mod chain through `game.apply_spin`: the scalar
-    reference for the rows of `build_mod_chain`."""
-    x, y, z = state
-    seat = int(_y_seat(spec, z))
-    stacks = (y, 0) if seat == 0 else (0, y)
-    after, _ = apply_spin(GameState(GameConfig(2, spec.n, overdraft=True), x, stacks, 0, (True, True)), outcome)
-    return (min(after.pot, spec.p_max), after.stacks[seat] % spec.lam, 3 - z)
-
-
 def build_mod_chain(spec: ModChainSpec) -> SparseKernel:
     """The full (pot, y, turn) grid, numbered x-major then y then turn, spun
     with overdraft; y is reduced mod Lambda and the pot clamped at the cap."""
     lam, cap = spec.lam, spec.p_max
     x, y, z = (a.ravel() for a in np.meshgrid(np.arange(1, cap + 1), np.arange(lam), (1, 2), indexing="ij"))
     cols = np.arange(x.size)
-    seat = _y_seat(spec, z)
+    # the seat holding y, with the spinner on seat 0: the spinner's on P1's
+    # spins (on every spin, in the formal flavor), else the other
+    seat = np.where((z == 1) | (spec.flavor == "formal"), 0, 1)
     stacks = np.zeros((2, x.size), dtype=np.int64)
     stacks[seat, cols] = y
     succ = np.stack([
@@ -313,19 +298,6 @@ def build_mod_chain(spec: ModChainSpec) -> SparseKernel:
     ])
     states = list(zip(x.tolist(), y.tolist(), z.tolist()))
     return _spin_kernel(states, np.arange(x.size), succ, np.zeros(x.size, dtype=bool))
-
-
-def squared_slice_chain(kernel: SparseKernel, keep) -> tuple[sp.csr_matrix, list]:
-    """Two-step chain restricted to the states selected by `keep`.
-
-    For the period-2 mod chain with keep = (z == 1) this is the chain
-    with transition probabilities q_ij = (P^2)_ij, which is aperiodic.
-    """
-    csr = kernel.csr
-    p2 = (csr @ csr).tocsr()
-    idx = [i for i, s in enumerate(kernel.states) if keep(s)]
-    sub = p2[idx, :][:, idx]
-    return sp.csr_matrix(sub), [kernel.states[i] for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +332,8 @@ def matrix_period(csr: sp.csr_matrix) -> int:
     return g if g else 1
 
 
-def diagnostics(kernel_or_csr, compute_stationary: bool = False) -> ChainDiagnostics:
-    if isinstance(kernel_or_csr, SparseKernel):
-        csr = kernel_or_csr.csr
-    else:
-        csr = kernel_or_csr.tocsr()
+def diagnostics(kernel: SparseKernel, compute_stationary: bool = False) -> ChainDiagnostics:
+    csr = kernel.csr
     n_comp, _ = connected_components(csr, directed=True, connection="strong")
     irreducible = n_comp == 1
     period = matrix_period(csr) if irreducible else 0

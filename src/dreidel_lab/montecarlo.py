@@ -1,8 +1,8 @@
 """Monte Carlo estimators and bound-check reports for the epoch analysis.
 
-Every sampler runs on one array engine, `SpinBatch`, which spins many
-games in lockstep for any number of players; the samplers add only their
-stop rules.  Epochs of the free-running overdraft process are
+Every sampler runs on the array engine `game.SpinBatch`, which spins
+many games in lockstep for any number of players; the samplers add only
+their stop rules.  Epochs of the free-running overdraft process are
 independent (the pot returns to k at every boundary and stacks are
 unbounded), so a batch of epochs has the same law as a consecutive run.
 """
@@ -15,93 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import GameConfig, SpinCapExceeded
+from .game import GameConfig, SpinBatch, SpinCapExceeded
 from .reporting import BoundReport
-from .rng import GANZ, HALB, SHTEL, make_generator
+from .rng import GANZ, SHTEL, make_generator
+from .solvers import exact_mean_duration
 
 Z99 = 2.576
 CHUNK = 1 << 15
 TAIL_Q_MAX = 15  # epoch-length tails are checked at P(len >= kq+1), q = 0..TAIL_Q_MAX
-
-
-# ---------------------------------------------------------------------------
-# array spin engine
-
-
-class SpinBatch:
-    """m dreidel games spun in lockstep: the array form of `game.apply_spin`.
-
-    Player i of game j holds stacks[i, j] - antes[j] tokens.  Stacks are
-    stored net of the antes every live player has paid, so an ante costs
-    one counter per game.  Seats take turns on one clock shared by all
-    games, and a seat that is out of a game skips its turn there without
-    spinning, so a batch of one game spins exactly as `game.play_game`
-    does.  With overdraft, stacks may go negative and nobody is ever
-    eliminated; without it, a broke player who must pay is out.
-    """
-
-    def __init__(self, k: int, m: int, stack: int, overdraft: bool):
-        self.k = k
-        self.overdraft = overdraft
-        self.seat = 0  # the seat on turn in every game
-        self.pot = np.full(m, k, dtype=np.int64)
-        self.stacks = np.full((k, m), stack, dtype=np.int64)
-        self.antes = np.zeros(m, dtype=np.int64)
-        self.alive = np.ones((k, m), dtype=bool)
-        self.live = np.full(m, k, dtype=np.int64)  # players left per game
-
-    def step(self, rng) -> np.ndarray:
-        """One spin by the seat on turn in every game it is still in.
-
-        Draws one outcome per spinning game in a single call, and returns
-        the outcome per game, -1 where the seat sat out.
-        """
-        seat = self.seat
-        self.seat = (seat + 1) % self.k
-        on = self.alive[seat]
-        every = self.overdraft or bool(on.all())
-        idx = slice(None) if every else np.flatnonzero(on)
-        pot = self.pot[idx]  # views when every game spins, copies otherwise
-        mine = self.stacks[seat, idx]
-        o = np.asarray(rng.integers(0, 4, size=pot.size))
-        g = o == GANZ
-        s = o == SHTEL
-        take = (o == HALB) * (pot >> 1) + g * pot
-        if not self.overdraft:
-            broke = s & (mine == self.antes[idx])
-            if broke.any():  # the spinner cannot pay: out, pot unchanged
-                s ^= broke
-                out = np.flatnonzero(broke) if every else idx[broke]
-                self.alive[seat, out] = False
-                self.live[out] -= 1
-        mine += take - s
-        pot += s - take
-        if self.overdraft:  # a Ganz empties the pot and all k players ante
-            pot += self.k * g
-            self.antes += g
-            return o
-        if not every:
-            self.pot[idx] = pot
-            self.stacks[seat, idx] = mine
-        gi = np.flatnonzero(g) if every else idx[g]
-        if gi.size:  # ante after a Ganz: players on zero are out
-            pays = self.alive[:, gi] & (self.stacks[:, gi] > self.antes[gi])
-            self.alive[:, gi] = pays
-            self.antes[gi] += 1
-            self.pot[gi] = self.live[gi] = pays.sum(axis=0)
-        if every:
-            return o
-        full = np.full(on.size, -1, dtype=o.dtype)
-        full[idx] = o
-        return full
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop the games where `rows` is False."""
-        self.pot = self.pot[rows]
-        self.stacks = self.stacks[:, rows]
-        self.antes = self.antes[rows]
-        self.alive = self.alive[:, rows]
-        self.live = self.live[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +421,7 @@ def scaling_report(
         if mode == "exact":
             if k != 2:
                 raise ValueError("exact durations are only available for k=2")
-            from .kernels import build_duration_chain
-            from .solvers import absorption_stats
-
-            mean = absorption_stats(build_duration_chain(n), (2, n - 1)).expected_time
+            mean = exact_mean_duration(n)
             se = None
         else:
             est = estimate_mean_duration(GameConfig(k=k, n=n), trials, seed, jobs=jobs)

@@ -107,8 +107,12 @@ def format_json(meta: dict, payload) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    """Write `text` to `path`; a path that cannot be written is a ValueError."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def emit_plot_data(series: Sequence[tuple[float, float]], path: str, meta: dict | None = None) -> None:

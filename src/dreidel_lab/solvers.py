@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from .kernels import SolverError, SparseKernel  # SolverError also covers the kernels' power iteration
+from .kernels import SolverError, SparseKernel, build_duration_chain  # SolverError also covers the kernels' power iteration
 
 RESIDUAL_TOL = 1e-12  # largest residual of a float solve, relative to max(1, |x|)
 REFINE_ROUNDS = 2  # iterative-refinement steps after each LU solve
@@ -208,6 +208,12 @@ def absorption_stats(kernel: SparseKernel, start) -> AbsorptionResult:
         absorb_probs={label: lu.harmonic({label})[lu.unknown] for label in labels},
         start=start,
     )
+
+
+def exact_mean_duration(n: int) -> float:
+    """Mean duration of the two-player game from n tokens each, solved on
+    the swap-folded duration chain."""
+    return absorption_stats(build_duration_chain(n), (2, n - 1)).expected_time
 
 
 def absorption_time_exact(kernel: SparseKernel, start) -> Fraction:

@@ -95,14 +95,51 @@ class TestExitCodes:
         [
             (["report", "--n-list", "8..3"], "error: --n-list '8..3' is empty\n"),
             (["scaling", "--k", "2", "--n-list", "3,3", "--mode", "exact"], "error: --n-list '3,3' repeats an n\n"),
+            (["scaling", "--k", "2", "--n-list", "3,a", "--mode", "exact"],
+             "error: --n-list '3,a' is not a list of integers like 5,10,20 or 2..8\n"),
+            (["report", "--n-list", "2..x"], "error: --n-list '2..x' is not a list of integers like 5,10,20 or 2..8\n"),
+            (["report", "--n-list", "1..2..3"],
+             "error: --n-list '1..2..3' is not a list of integers like 5,10,20 or 2..8\n"),
         ],
-        ids=["empty", "repeated"],
+        ids=["empty", "repeated", "not-integers", "bad-range-end", "two-ranges"],
     )
     def test_n_list_that_checks_nothing_is_usage_error(self, tmp_path, capsys, args, message):
         code, path = run(tmp_path, args)
         assert code == 2
         assert capsys.readouterr().err == message
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--n", "3", "--trials", "40000"],
+            ["scaling", "--n-list", "5,8", "--trials", "100"],
+            ["scaling", "--n-list", "5,8", "--mode", "exact"],
+        ],
+        ids=["simulate", "scaling-mc", "scaling-exact"],
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, args, jobs):
+        code, path = run(tmp_path, args + ["--jobs", jobs])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["epochs", "--k", "2", "--epochs", "100"], "-o"),
+            (["epochs", "--k", "2", "--epochs", "100"], "--plot"),
+            (["scaling", "--n-list", "3,4", "--mode", "exact"], "--plot"),
+            (["gamelets", "--k", "2", "--p", "1"], "--table"),
+        ],
+        ids=["output", "epochs-plot", "scaling-plot", "table"],
+    )
+    def test_unwritable_path_is_usage_error(self, tmp_path, capsys, args, flag):
+        bad = tmp_path / "missing" / "x.csv"
+        code = main(args + [flag, str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
 
     @pytest.mark.parametrize(
         "args, message",

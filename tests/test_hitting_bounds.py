@@ -5,9 +5,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from conftest import mod_chain_step
 from dreidel_lab import hitting_bounds as hb
 from dreidel_lab import solvers
 from dreidel_lab.kernels import ModChainSpec, build_mod_chain, build_pot_chain, diagnostics
+from dreidel_lab.rng import OUTCOME_CODES
 from dreidel_lab.solvers import HitSolver
 
 
@@ -61,9 +63,6 @@ class TestIdentities:
 
     def test_kernel_translation_symmetry(self):
         # relabeling y -> y + m maps the kernel onto itself
-        from dreidel_lab.kernels import build_mod_chain, mod_chain_step
-        from dreidel_lab.rng import OUTCOME_CODES
-
         spec = ModChainSpec(n=3, p_max=16)
         lam = spec.lam
         m = 4

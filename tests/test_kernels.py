@@ -1,10 +1,16 @@
 """Markov kernels: construction rules, row-stochasticity, diagnostics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import toy_kernel
+from conftest import mod_chain_step, toy_kernel
+import dreidel_lab
 from dreidel_lab.game import GameConfig, GameState, apply_spin
 from dreidel_lab.kernels import (
     GAME_OVER,
@@ -19,9 +25,7 @@ from dreidel_lab.kernels import (
     build_pot_chain,
     diagnostics,
     game_chain_start,
-    mod_chain_step,
     power_iteration,
-    squared_slice_chain,
 )
 from dreidel_lab.rng import GANZ, HALB, NISHT, SHTEL
 from dreidel_lab.solvers import absorption_stats
@@ -128,11 +132,14 @@ class TestModChain:
         assert diag.irreducible and diag.period == 2
 
     def test_squared_chain_aperiodic_on_z1(self):
+        # the two-step chain q_ij = (P^2)_ij on the z = 1 states is aperiodic
         spec = ModChainSpec(n=3, p_max=16, flavor="formal")
         kernel = build_mod_chain(spec)
-        csr, states = squared_slice_chain(kernel, lambda s: s[2] == 1)
-        assert all(s[2] == 1 for s in states)
-        diag = diagnostics(csr)
+        idx = [i for i, s in enumerate(kernel.states) if s[2] == 1]
+        p2 = (kernel.csr @ kernel.csr).tocsr()[idx, :][:, idx]
+        squared = SparseKernel(states=[kernel.states[i] for i in idx], csr=p2, absorbing=np.zeros(len(idx), dtype=bool))
+        squared.validate()
+        diag = diagnostics(squared)
         assert diag.irreducible and diag.period == 1
 
     def test_end_states_contain_canonical_target(self):
@@ -308,3 +315,13 @@ class TestValidate:
     def test_rejects_absorbing_row_with_successors(self):
         with pytest.raises(ValueError, match="absorbing state b has successors"):
             self._kernel([[0.5, 0.5], [0.0, 1.0]], absorbing=(False, True)).validate()
+
+
+def test_kernels_do_not_load_montecarlo():
+    """The kernels take their array engine from `game`, so importing them
+    pulls in no Monte Carlo code."""
+    src = str(Path(dreidel_lab.__file__).resolve().parents[1])
+    code = "import sys, dreidel_lab.kernels; print('dreidel_lab.montecarlo' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "False\n"

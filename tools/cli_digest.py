@@ -1,9 +1,10 @@
 """Digest of every README CLI command, to compare two checkouts byte for byte.
 
 Runs the README's eleven `dreidel-lab` commands in-process (`simulate`
-with `--jobs 1`), plus six usage errors, in a temporary directory.  Prints one tab-separated line per output file:
-the command, its exit code, the file (stdout, stderr, or a file the
-command wrote) and the file's sha256.
+with `--jobs 1`), plus nine usage errors, in a temporary directory.
+Prints one tab-separated line per output file: the command, its exit
+code (or the type of the exception it raised), the file (stdout, stderr,
+or a file the command wrote) and the file's sha256.
 
     python3 tools/cli_digest.py > digest.txt
 
@@ -46,6 +47,11 @@ COMMANDS = [
     "bounds --n 0",
     "report --n-list 0..3",
     "construct --k 2 --n 30 --s 200 --alpha -1 --seed 1",
+    # a --n-list that is not integers, --jobs below 1, an output path in a
+    # directory that does not exist
+    "scaling --k 2 --n-list 3,a --mode exact",
+    "simulate --k 2 --n 3 --trials 40000 --jobs 0",
+    "epochs --k 2 --epochs 100 -o missing/x.csv",
 ]
 FILE_FLAGS = ("--plot", "--table", "-o")
 
@@ -58,6 +64,8 @@ def digest(command: str) -> list[str]:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
+        except Exception as exc:  # an error the CLI did not turn into an exit code
+            code = f"raised {type(exc).__name__}"
     files = {"stdout": out.getvalue().encode(), "stderr": err.getvalue().encode()}
     for flag, value in zip(argv, argv[1:]):
         if flag in FILE_FLAGS:
