@@ -1,4 +1,5 @@
-"""Command-line entry point: every analysis as a seedable subcommand.
+"""Command-line entry point: every analysis as a subcommand; the five that
+draw random numbers (simulate, epochs, wald, construct, scaling) take --seed.
 
 Exit codes: 0 success, 1 hard bound-check failure, 2 usage or
 infeasible-parameter error, 3 a computation failed its own check (a
@@ -16,8 +17,8 @@ import sys
 
 from . import construction, gamelets, hitting_bounds, kernels, montecarlo, solvers
 from .game import GameConfig, GameError
-from .reporting import BoundReport, format_csv, format_json, write_text, emit_plot_data
-from .rng import make_generator
+from .reporting import BOUND_COLUMNS, BoundReport, format_csv, format_json, write_text, emit_plot_data
+from .rng import OUTCOME_LETTERS, make_generator
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -54,15 +55,19 @@ def _emit(args, meta: dict, columns: list[str], rows: list[list], payload=None) 
         text = format_json(meta, data)
     else:
         text = format_csv(meta, columns, rows)
-    if args.output:
-        write_text(args.output, text)
+    _write(args.output, text)
+
+
+def _write(path: str | None, text: str) -> None:
+    if path:
+        write_text(path, text)
     else:
         sys.stdout.write(text)
 
 
 def _finish_report(args, report: BoundReport, extra_rows: list[list] | None = None) -> int:
     rows = (extra_rows or []) + report.rows()
-    _emit(args, _runspec(args), ["name", "paper_bound", "measured", "margin", "verdict"], rows)
+    _emit(args, _runspec(args), BOUND_COLUMNS, rows)
     n_fail = len(report.failures)
     print(f"{report.title}: {len(report.entries)} checks, {n_fail} failures")
     return 1 if n_fail else 0
@@ -195,7 +200,7 @@ def cmd_construct(args) -> int:
         "phase_spins": list(game.plan.phase_spins),
         "epochs": game.epochs,
         "final_w": game.final_w,
-        "outcomes": "".join("NGHS"[o] for o in game.outcomes),
+        "outcomes": "".join(OUTCOME_LETTERS[o] for o in game.outcomes),
     }
     if args.format == "csv":
         rows = [[key, payload[key]] for key in payload if key != "outcomes"]
@@ -253,11 +258,7 @@ def cmd_report(args) -> int:
             bound = "" if e.bound is None else f"{e.bound:.6g}"
             lines.append(f"| {e.name} | {bound} | {e.measured:.6g} | {e.verdict} |")
         lines.append("")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, "\n".join(lines) + "\n")
     print(f"report: {len(ns)} bound tables, {'FAIL' if any_fail else 'ok'}")
     return 1 if any_fail else 0
 
@@ -266,8 +267,9 @@ def cmd_report(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p: argparse.ArgumentParser, seed: bool = False) -> None:
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 
@@ -284,14 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("epochs", help="payoff statistics with moment/tail checks")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--epochs", type=int, default=100_000)
     p.add_argument("--plot", default=None, help="write epoch-length histogram plot data")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_epochs)
 
     p = sub.add_parser("wald", help="stopping-time identities")
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w0", type=int, default=3)
     p.add_argument("--records", type=int, default=10_000)
     p.add_argument("--epochs", type=int, default=100_000)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_wald)
 
     p = sub.add_parser("exact", help="exact two-player absorption time")
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--alpha", type=float, default=None)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("scaling", help="duration scaling over n")
@@ -356,12 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--plot", default=None, help="write (n, mean) plot data here")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("report", help="aggregated markdown of bound verdicts")
     p.add_argument("--n-list", required=True, help="e.g. 2..8")
-    _add_common(p)
+    p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -371,6 +373,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a missing directory is found before the run, not after part of its output is written
+        for path in filter(None, (getattr(args, a, None) for a in ("output", "plot", "table"))):
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"cannot write {path}: No such file or directory")
         return args.func(args)
     except (ValueError, construction.InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

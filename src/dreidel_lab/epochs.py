@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import game
 from .game import SPIN_BY_CODE, GameState, GameError, Spin, apply_spin, new_custom  # new_custom: re-exported
 
 MAX_EPOCHS = 10**7  # run_metaslowdel gives up after this many epochs
@@ -72,8 +73,8 @@ def run_epoch(state: GameState, rng, epoch_index: int = 0) -> tuple[EpochRecord,
                 round_closed_epoch = True
         if round_closed_epoch:
             break
-        if len(outcomes) >= cfg.spin_cap:
-            raise GameError(f"epoch exceeded {cfg.spin_cap} spins")
+        if len(outcomes) >= game.SPIN_CAP:
+            raise GameError(f"epoch exceeded {game.SPIN_CAP} spins")
     record = EpochRecord(
         epoch_index=epoch_index,
         spins_in_epoch=len(outcomes),

@@ -58,10 +58,11 @@ class GameOverError(GameError):
 
 
 class SpinCapExceeded(GameError):
-    """A game ran past the configured spin cap."""
+    """A game ran past the spin cap."""
 
 
-DEFAULT_SPIN_CAP = 10**9
+# read at call time (`game.SPIN_CAP`), so a test can lower it
+SPIN_CAP = 10**9
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ class GameConfig:
     k: int
     n: int
     overdraft: bool = False
-    spin_cap: int = DEFAULT_SPIN_CAP
 
     def __post_init__(self):
         if self.k < 2:
@@ -418,8 +418,8 @@ def play_game(config: GameConfig, seed_or_rng) -> Transcript:
     state = new_game(config)
     transcript = Transcript(config=config)
     while not state.terminated:
-        if state.spin_index >= config.spin_cap:
-            raise SpinCapExceeded(f"game exceeded {config.spin_cap} spins")
+        if state.spin_index >= SPIN_CAP:
+            raise SpinCapExceeded(f"game exceeded {SPIN_CAP} spins")
         outcome = SPIN_BY_CODE[int(rng.integers(0, 4))]
         spinner = state.turn
         state, events = apply_spin(state, outcome)

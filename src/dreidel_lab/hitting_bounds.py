@@ -9,6 +9,7 @@ import numpy as np
 
 from .kernels import ModChainSpec, build_mod_chain
 from .reporting import BoundReport
+from .rng import make_generator
 from .solvers import HitSolver, RestrictedLU, exact_mean_duration, mean_return_time, next_step_mean
 
 START_CAP_PER_N = 8  # the mod chain's pot cap starts at 8n,
@@ -145,7 +146,7 @@ def identity_checks(
     lam = spec.lam
     kernel = build_mod_chain(spec)
     flavor_tag = {"game": 0, "formal": 1}[flavor]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, n, flavor_tag))))
+    rng = make_generator(seed, n, flavor_tag)
 
     def pot2(y, z):
         return (2, y % lam, z)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import game
 from .game import GameConfig, SpinBatch, SpinCapExceeded
 from .reporting import BoundReport
 from .rng import GANZ, SHTEL, make_generator
@@ -182,8 +183,8 @@ def _duration_chunk(args) -> np.ndarray:
     spins = np.zeros(m, dtype=np.int64)
     active = np.arange(m)
     while active.size:
-        if spins.max() >= config.spin_cap:
-            raise SpinCapExceeded(f"game exceeded {config.spin_cap} spins")
+        if spins.max() >= game.SPIN_CAP:
+            raise SpinCapExceeded(f"game exceeded {game.SPIN_CAP} spins")
         spins += batch.step(rng) >= 0
         done = batch.live <= 1
         if done.any():

@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ARTIFACT_VERSION = "0.1.0"
+BOUND_COLUMNS = ["name", "paper_bound", "measured", "margin", "verdict"]
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,8 @@ class BoundReport:
         self.entries.append(entry)
         return entry
 
-    def report_only(self, name: str, measured: float, bound: float | None = None) -> BoundEntry:
-        margin = float("nan") if bound is None else bound - measured
-        entry = BoundEntry(name, bound, measured, margin, "report")
+    def report_only(self, name: str, measured: float) -> BoundEntry:
+        entry = BoundEntry(name, None, measured, float("nan"), "report")
         self.entries.append(entry)
         return entry
 
@@ -60,20 +60,6 @@ class BoundReport:
             [e.name, _fmt(e.bound), _fmt(e.measured), _fmt(e.margin), e.verdict]
             for e in self.entries
         ]
-
-    def to_csv(self, meta: dict | None = None) -> str:
-        return format_csv(meta or {"report": self.title},
-                          ["name", "paper_bound", "measured", "margin", "verdict"],
-                          self.rows())
-
-    def __str__(self) -> str:
-        lines = [self.title]
-        for e in self.entries:
-            lines.append(
-                f"  [{e.verdict:>6}] {e.name}: measured={_fmt(e.measured)} "
-                f"bound={_fmt(e.bound)} margin={_fmt(e.margin)}"
-            )
-        return "\n".join(lines)
 
 
 def _fmt(x) -> str:

@@ -142,6 +142,44 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
 
     @pytest.mark.parametrize(
+        "args, written",
+        [
+            (["epochs", "--k", "2", "--epochs", "100", "--plot", "{ok}", "-o", "{bad}"], "plot"),
+            (["scaling", "--n-list", "3,4", "--mode", "exact", "-o", "{ok}", "--plot", "{bad}"], "output"),
+        ],
+        ids=["plot-then-output", "output-then-plot"],
+    )
+    def test_missing_directory_is_found_before_the_run(self, tmp_path, capsys, args, written):
+        ok, bad = tmp_path / "ok.dat", tmp_path / "missing" / "x.csv"
+        code = main([a.format(ok=ok, bad=bad) for a in args])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {bad}: No such file or directory\n"
+        assert captured.out == ""
+        assert not ok.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["exact", "--n", "3", "--seed", "1"],
+            ["pot-chain", "--xmax", "20", "--seed", "1"],
+            ["hitprob", "--n", "3", "--y1", "2", "--z1", "1", "--y2", "3", "--z2", "1", "--y3", "1", "--z3", "1",
+             "--seed", "1"],
+            ["bounds", "--n", "3", "--seed", "1"],
+            ["gamelets", "--k", "2", "--p", "1", "--seed", "1"],
+            ["report", "--n-list", "3..3", "--seed", "1"],
+            ["report", "--n-list", "3..3", "--format", "json"],
+        ],
+        ids=["exact-seed", "pot-chain-seed", "hitprob-seed", "bounds-seed", "gamelets-seed", "report-seed",
+             "report-format"],
+    )
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             (["hitprob", "--n", "3", "--pmax", "0", "--y1", "2", "--z1", "1", "--y2", "3", "--z2", "1",
@@ -179,6 +217,22 @@ class TestOutputs:
         spec = json.loads(lines[0].split("# runspec: ", 1)[1])
         assert spec["command"] == "exact" and spec["n"] == 3
         assert lines[1].startswith("# artifact-version: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["exact", "--n", "3"],
+            ["pot-chain", "--xmax", "20"],
+            ["hitprob", "--n", "3", "--y1", "2", "--z1", "1", "--y2", "3", "--z2", "1", "--y3", "1", "--z3", "1"],
+            ["bounds", "--n", "3"],
+            ["gamelets", "--k", "2", "--p", "1"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_deterministic_runspec_has_no_seed(self, tmp_path, capsys, args):
+        _, path = run(tmp_path, args, "a.csv")
+        spec = json.loads(path.read_text().splitlines()[0].split("# runspec: ", 1)[1])
+        assert spec["command"] == args[0] and "seed" not in spec
 
     def test_json_format(self, tmp_path, capsys):
         _, path = run(tmp_path, ["pot-chain", "--xmax", "50", "--format", "json"], "a.json")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dreidel_lab import game
 from dreidel_lab.game import (
     GameConfig,
     GameOverError,
@@ -195,8 +196,9 @@ class TestPlayGame:
         with pytest.raises(ValueError):
             play_game(GameConfig(k=2, n=4, overdraft=True), 0)
 
-    def test_spin_cap(self):
-        cfg = GameConfig(k=2, n=4, spin_cap=1)
+    def test_spin_cap(self, monkeypatch):
+        monkeypatch.setattr(game, "SPIN_CAP", 1)
+        cfg = GameConfig(k=2, n=4)
         # all-Nisht script never terminates, so the cap must fire
         with pytest.raises(SpinCapExceeded):
             play_game(cfg, ScriptedSource([0] * 10))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dreidel_lab import montecarlo as mc
+from dreidel_lab import game, montecarlo as mc
 from dreidel_lab.epochs import new_custom, run_epoch, classify_epoch
 from dreidel_lab.game import GameConfig, SpinCapExceeded, play_game
 from dreidel_lab.rng import make_generator
@@ -89,9 +89,10 @@ class TestDurations:
                     cfg, make_generator(seed, 0)
                 ).duration
 
-    def test_spin_cap(self):
+    def test_spin_cap(self, monkeypatch):
+        monkeypatch.setattr(game, "SPIN_CAP", 5)
         with pytest.raises(SpinCapExceeded):
-            mc.sample_durations(GameConfig(k=3, n=6, spin_cap=5), 100, seed=0)
+            mc.sample_durations(GameConfig(k=3, n=6), 100, seed=0)
 
     def test_jobs_do_not_change_results(self):
         cfg = GameConfig(k=2, n=4)

@@ -27,7 +27,7 @@ class TestBoundReport:
     def test_csv_header(self):
         rep = rp.BoundReport("t")
         rep.check_ge("a", 1.0, 0.5)
-        text = rep.to_csv({"cmd": "x"})
+        text = rp.format_csv({"cmd": "x"}, rp.BOUND_COLUMNS, rep.rows())
         lines = text.splitlines()
         assert lines[0].startswith("# runspec: ")
         assert lines[1].startswith("# artifact-version: ")
@@ -39,7 +39,8 @@ class TestBoundReport:
         assert rp._fmt(np.int64(7)) == "7"
         rep = rp.BoundReport("t")
         rep.check_ge("a", np.float64(0.3), 0.25)
-        assert rep.to_csv({"cmd": "x"}).splitlines()[3] == f"a,0.25,0.3,{0.3 - 0.25!r},pass"
+        text = rp.format_csv({"cmd": "x"}, rp.BOUND_COLUMNS, rep.rows())
+        assert text.splitlines()[3] == f"a,0.25,0.3,{0.3 - 0.25!r},pass"
 
 
 class TestEmission:

@@ -1,7 +1,8 @@
 """Digest of every README CLI command, to compare two checkouts byte for byte.
 
 Runs the README's eleven `dreidel-lab` commands in-process (`simulate`
-with `--jobs 1`), plus nine usage errors, in a temporary directory.
+with `--jobs 1`), plus twelve usage errors, each in a fresh temporary
+directory.
 Prints one tab-separated line per output file: the command, its exit
 code (or the type of the exception it raised), the file (stdout, stderr,
 or a file the command wrote) and the file's sha256.
@@ -52,6 +53,11 @@ COMMANDS = [
     "scaling --k 2 --n-list 3,a --mode exact",
     "simulate --k 2 --n 3 --trials 40000 --jobs 0",
     "epochs --k 2 --epochs 100 -o missing/x.csv",
+    # a --seed on a subcommand that draws no random numbers, a --format on
+    # `report`, and a missing -o directory after a good --plot (no plot is written)
+    "bounds --n 3 --seed 1",
+    "report --n-list 3..4 --format json",
+    "epochs --k 2 --epochs 100 --plot lengths.dat -o missing/x.csv",
 ]
 FILE_FLAGS = ("--plot", "--table", "-o")
 
@@ -77,9 +83,11 @@ def digest(command: str) -> list[str]:
 def run() -> None:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
         try:
-            for command in COMMANDS:
+            for i, command in enumerate(COMMANDS):
+                os.chdir(tmp)
+                os.mkdir(str(i))
+                os.chdir(str(i))
                 print("\n".join(digest(command)), flush=True)
         finally:
             os.chdir(cwd)
