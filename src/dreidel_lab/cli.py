@@ -1,11 +1,11 @@
 """Command-line entry point: every analysis as a subcommand; the five that
 draw random numbers (simulate, epochs, wald, construct, scaling) take --seed.
 
-Exit codes: 0 success, 1 hard bound-check failure, 2 usage or
-infeasible-parameter error, 3 a computation failed its own check (a
-solver residual, a singular system, an unconverged power iteration,
-a bound-table truncation, a construction or a game rule); errors
-print one `error:` line to stderr.
+Exit codes: 0 success, 1 hard bound-check failure, 2 usage error,
+infeasible parameters or an unwritable output (a closed stdout too),
+3 a computation failed its own check (a solver residual, a singular
+system, an unconverged power iteration, a bound-table truncation, a
+construction or a game rule); errors print one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from . import construction, gamelets, hitting_bounds, kernels, montecarlo, solve
 from .game import GameConfig, GameError
 from .reporting import BOUND_COLUMNS, BoundReport, format_csv, format_json, write_text, emit_plot_data
 from .rng import OUTCOME_LETTERS, make_generator
+
+PATH_FLAGS = ("output", "plot", "table")  # where a run writes, not what it computes
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -45,7 +47,7 @@ def _check_jobs(args) -> None:
 
 def _runspec(args: argparse.Namespace) -> dict:
     # jobs is an execution detail: results are byte-identical at any width
-    skip = {"func", "output", "plot", "jobs"}
+    skip = {"func", "jobs", *PATH_FLAGS}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -231,14 +233,12 @@ def cmd_scaling(args) -> int:
         ]
         for r in fit.rows
     ]
-    _emit(
-        args,
-        _runspec(args),
-        ["n", "mean", "se", "exact", "ratio_to_n2", "ratio_to_asymptotic_bound"],
-        rows,
-    )
+    spec = _runspec(args)
+    if args.mode == "exact":  # draws no random numbers: seed and trials change nothing
+        del spec["seed"], spec["trials"]
+    _emit(args, spec, ["n", "mean", "se", "exact", "ratio_to_n2", "ratio_to_asymptotic_bound"], rows)
     if args.plot:
-        emit_plot_data([(r.n, r.mean) for r in fit.rows], args.plot, meta=_runspec(args))
+        emit_plot_data([(r.n, r.mean) for r in fit.rows], args.plot, meta=spec)
     print(f"scaling k={args.k} ({fit.mode}): log-log slope {fit.slope:.4f}")
     return 0
 
@@ -374,10 +374,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # a missing directory is found before the run, not after part of its output is written
-        for path in filter(None, (getattr(args, a, None) for a in ("output", "plot", "table"))):
+        for path in filter(None, (getattr(args, a, None) for a in PATH_FLAGS)):
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"cannot write {path}: No such file or directory")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:  # the reader closed stdout; devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write <stdout>: {exc.strerror}", file=sys.stderr)
+        return 2
     except (ValueError, construction.InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .epochs import run_epoch
 from .game import GameConfig, GameState, apply_spin, new_game, overdraft_spins
 from .gamelets import choose_alpha, random_gamelet
-from .rng import GANZ, HALB, NISHT, SHTEL
+from .rng import GANZ, HALB, NISHT, SHTEL, ScriptedSource
 
 
 class ConstructionError(RuntimeError):
@@ -179,33 +180,29 @@ def construct_long_game(k: int, n: int, s: int, alpha: float | None = None, *, r
 
 
 def validate_constructed(start: GameState, n: int, outcomes: list[int], t_s: int) -> tuple[int, int]:
-    """Replay a constructed game and enforce its contract.
+    """Replay a constructed game epoch by epoch through `epochs.run_epoch`
+    and enforce its contract.
 
-    Raises ConstructionError unless: the last player's token count stays
-    inside [0, k(n-1)] and every player's stays nonnegative at every
-    epoch end except the last, where the last player goes home; the
-    epoch count is at least t_s.
+    Raises ConstructionError unless: the outcomes end on an epoch end;
+    the last player's token count stays inside [0, k(n-1)] and every
+    player's stays nonnegative at every epoch end except the last, where
+    the last player goes home; the epoch count is at least t_s.
     """
     k = start.config.k
-    state = start
-    epochs = 0
-    total = len(outcomes)
-    if total % k != 0:
-        raise ConstructionError("spin count not a whole number of rounds")
     upper = k * (n - 1)
-    went_home_at_end = False
-    for t, o in enumerate(outcomes):
-        state, _ = apply_spin(state, o)
-        if t % k == k - 1 and o == GANZ:
-            epochs += 1
-            w = state.stacks[k - 1]
-            gone = w < 0 or w > upper
-            others_gone = any(stk < 0 for stk in state.stacks[: k - 1])
-            if t == total - 1:
-                went_home_at_end = gone
-            elif gone or others_gone:
-                raise ConstructionError(f"a player went home early, at spin {t + 1}")
-    if not went_home_at_end:
+    source = ScriptedSource(outcomes)
+    state, epochs, spins, went_home = start, 0, 0, False
+    while source.remaining:
+        try:
+            record, state = run_epoch(state, source, epochs)
+        except IndexError:  # the source ran out
+            raise ConstructionError("the outcomes stop inside an epoch") from None
+        epochs += 1
+        spins += record.spins_in_epoch
+        went_home = not 0 <= record.end_stacks[k - 1] <= upper
+        if source.remaining and (went_home or min(record.end_stacks) < 0):
+            raise ConstructionError(f"a player went home early, at spin {spins}")
+    if not went_home:
         raise ConstructionError("last player did not go home on the final spin")
     if epochs < t_s:
         raise ConstructionError(f"only {epochs} epochs, need at least {t_s}")

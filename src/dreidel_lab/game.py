@@ -4,9 +4,10 @@ The scalar engine is pure: a GameState is an immutable value and
 apply_spin maps (state, outcome) to a new state plus the events that
 fired.  It plays single games and is the oracle the tests check the
 array engine against.  The array engine, `SpinBatch`, spins many games
-in lockstep; the Monte Carlo samplers, the Markov kernels and
-`overdraft_spins` all run on it.  Token conservation (pot + sum of
-stacks = k * n) holds after every spin in both modes.
+in lockstep.  The Monte Carlo samplers run on it, and so do the Markov
+kernels and `overdraft_spins`, through `spin_each_outcome`, which spins
+a grid of games once under each forced outcome.  Token conservation
+(pot + sum of stacks = k * n) holds after every spin in both modes.
 """
 
 from __future__ import annotations
@@ -394,17 +395,27 @@ class SpinBatch:
         self.live = self.live[rows]
 
 
+def spin_each_outcome(k: int, pot, stacks, overdraft: bool) -> list[SpinBatch]:
+    """Games with k players at every point (pot[j], stacks[:, j]), each
+    spun once by seat 0 under each forced outcome: one batch per outcome,
+    in code order."""
+    codes = ScriptedSource(np.repeat(OUTCOME_CODES, np.size(pot)).tolist())
+    batches = [SpinBatch(k, np.size(pot), 0, overdraft) for _ in OUTCOME_CODES]
+    for batch in batches:
+        batch.pot[:] = pot
+        batch.stacks[:] = stacks
+        batch.step(codes)
+    return batches
+
+
 @cache
 def overdraft_spins(pot: int, k: int) -> tuple[tuple[int, int, int], ...]:
     """Every overdraft spin from `pot` with k players, indexed by outcome
-    code: (pot after the spin, the spinner's gain, the ante everyone pays).
-    A Ganz empties the pot and all k players ante at once.  Read off one
-    `SpinBatch` step of four games, one per outcome; stacks are stored net
-    of antes, so the spinner's stack is the gross gain."""
-    batch = SpinBatch(k, 4, 0, overdraft=True)
-    batch.pot[:] = pot
-    batch.step(ScriptedSource(OUTCOME_CODES))
-    return tuple(zip(batch.pot.tolist(), batch.stacks[0].tolist(), batch.antes.tolist()))
+    code: (pot after the spin, the spinner's gain, the ante everyone pays),
+    read off `spin_each_outcome` for one game.  Stacks are held net of
+    antes, so the spinner's stack is the gross gain."""
+    return tuple((int(b.pot[0]), int(b.stacks[0, 0]), int(b.antes[0]))
+                 for b in spin_each_outcome(k, pot, 0, overdraft=True))
 
 
 def play_game(config: GameConfig, seed_or_rng) -> Transcript:

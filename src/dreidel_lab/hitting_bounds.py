@@ -21,15 +21,22 @@ class TruncationError(RuntimeError):
     """Reported quantities kept moving while the pot cap grew."""
 
 
-def _green_hits(lu: RestrictedLU, queries) -> list[float]:
-    """P_x(hit a before `avoid`) for each (x, a) in `queries`, as
-    G(x, a) / G(a, a) from one Green's-function column per query, with
-    G = (I - P off {avoid})^-1 and `lu` a solver off {avoid}."""
-    index = lu.kernel.index
-    out = []
-    for x, a in queries:
-        g = lu.green(a)
-        out.append(float(g[index[x]] / g[index[a]]))
+def _hits(base: RestrictedLU, queries) -> list[float]:
+    """P_x(hit a before b) for each (x, a, b) in `queries`, as
+    G(x, a) / G(a, a) with G = (I - P off {b})^-1: one low-rank update of
+    `base` per avoid state b, in order of first appearance, and one
+    Green's-function column per query.  Each system off {b} is
+    residual-checked against I - P off {b} itself, not the base's."""
+    index = base.kernel.index
+    by_avoid: dict = {}
+    for slot, (x, a, b) in enumerate(queries):
+        by_avoid.setdefault(b, []).append((slot, x, a))
+    out = [0.0] * len(queries)
+    for b, group in by_avoid.items():
+        lu = RestrictedLU(base.kernel, {b}, base=base)
+        for slot, x, a in group:
+            g = lu.green(a)
+            out[slot] = float(g[index[x]] / g[index[a]])
     return out
 
 
@@ -44,14 +51,12 @@ def _quantities(spec: ModChainSpec) -> dict[str, float]:
     y1 = (n - 1) % lam
     s0 = spec.start  # (2, y1, 1)
     base = RestrictedLU(kernel, {s0})
-    out: dict[str, float] = {}
 
     # A_m: reach (2, y1 + m, 2) before (2, y1 - 1, 1); B_m mirrors it
     ms = range(1, n + 2)
-    for name, sign in (("A", 1), ("B", -1)):
-        targets = [(s0, (2, (y1 + sign * m) % lam, 2)) for m in ms]
-        probs = _green_hits(RestrictedLU(kernel, {(2, (y1 - sign) % lam, 1)}, base=base), targets)
-        out.update((f"{name}_{m}", p) for m, p in zip(ms, probs))
+    queries = [(s0, (2, (y1 + sign * m) % lam, 2), (2, (y1 - sign) % lam, 1))
+               for sign in (1, -1) for m in ms]
+    out: dict[str, float] = dict(zip([f"{name}_{m}" for name in "AB" for m in ms], _hits(base, queries)))
 
     # omega1: reach y = n before n-1, n-2; omega2: reach n-2 before n-1, n;
     # both leave s0 = (2, n-1, 1) on the first step
@@ -168,19 +173,11 @@ def identity_checks(
             tuple(pot2(-y - 2, 3 - z) for y, z in yz),
         ]
 
-    # one LU per call; each avoid state b has its own boundary system off
-    # {b}, solved through that LU by a low-rank update and residual-checked
-    # against I - P off {b} itself.  So p (off {b}) and p_swap (off {a})
-    # come from two different systems, each checked on its own, and
-    # complementarity is a real check.
-    base = RestrictedLU(kernel, {spec.start})
-    by_avoid: dict = {}
-    for slot, (x, a, b) in enumerate(queries):
-        by_avoid.setdefault(b, []).append((slot, x, a))
-    probs = np.empty(len(queries))
-    for b, group in by_avoid.items():
-        lu = RestrictedLU(kernel, {b}, base=base)
-        probs[[slot for slot, _, _ in group]] = _green_hits(lu, [(x, a) for _, x, a in group])
+    # one LU per call, off the start state.  Each avoid state b has its own
+    # boundary system off {b}, so p (off {b}) and p_swap (off {a}) come from
+    # two different systems, each checked on its own, and complementarity
+    # is a real check.
+    probs = np.array(_hits(RestrictedLU(kernel, {spec.start}), queries))
     p, p_swap, p_shift, p_dual = probs.reshape(-1, 4).T
     return IdentityResiduals(
         n=n,

@@ -10,11 +10,11 @@ Four chains are built here:
     spin; "game" updates the second coordinate only on P1's spins and on
     antes.
 
-Each kernel is one CSR matrix over its numbered states.  The game,
-duration and mod-Lambda chains spin their whole state grid through the
-array engine `game.SpinBatch`, one batch per forced outcome, with the
-spinner on seat 0; the tests check every row against the scalar engine
-`game.apply_spin`.
+Each kernel is one CSR matrix over its numbered states.  All four
+chains spin their whole state grid through `game.spin_each_outcome`,
+one batch of the array engine `game.SpinBatch` per forced outcome, with
+the spinner on seat 0; the tests check every row against the scalar
+engine `game.apply_spin`.
 
 Pot overflow in the mod chain is truncated: a Shtel at the cap leaves
 the pot coordinate in place (the other coordinates still update).
@@ -31,8 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .game import SpinBatch
-from .rng import OUTCOME_CODES, ScriptedSource
+from .game import spin_each_outcome
 
 P_LOSS_1 = ("loss", 1)  # P1 eliminated: P2 wins
 P_LOSS_2 = ("loss", 2)
@@ -130,21 +129,6 @@ def _spin_kernel(states: list, src: np.ndarray, succ: np.ndarray, absorbing: np.
     return kernel
 
 
-def _spin_grid(pot: np.ndarray, stacks: np.ndarray, overdraft: bool) -> list[SpinBatch]:
-    """Two-player games at every grid point (pot[j], stacks[:, j]), each
-    spun once by seat 0: one batch per outcome, in code order."""
-    m = pot.size
-    codes = ScriptedSource(np.repeat(OUTCOME_CODES, m).tolist())
-    batches = []
-    for _ in OUTCOME_CODES:
-        batch = SpinBatch(2, m, 0, overdraft)
-        batch.pot[:] = pot
-        batch.stacks[:] = stacks
-        batch.step(codes)
-        batches.append(batch)
-    return batches
-
-
 def _reachable_kernel(coords: tuple[np.ndarray, ...], succ: np.ndarray, start: int, labels: list) -> SparseKernel:
     """The chain on the grid points reachable from grid code `start`.
 
@@ -199,7 +183,7 @@ def build_game_chain(n: int) -> SparseKernel:
         np.where(~b.alive[p1, cols], loss1,
                  np.where(~b.alive[1 - p1, cols], loss2,
                           ((b.pot - 1) * side + b.stacks[p1, cols] - b.antes) * 2 + (2 - z)))  # the turn passes
-        for b in _spin_grid(x, stacks, overdraft=False)
+        for b in spin_each_outcome(2, x, stacks, overdraft=False)
     ])
     return _reachable_kernel((x, y, z), succ, (side + n - 1) * 2, [P_LOSS_1, P_LOSS_2])  # from (2, n - 1, 1)
 
@@ -220,7 +204,7 @@ def build_duration_chain(n: int) -> SparseKernel:
     # grid points with x + a > 2n are never reached, so their codes are never read
     succ = np.stack([  # the successor's player on turn sits on seat 1
         np.where(b.alive.all(axis=0), (b.pot - 1) * side + b.stacks[1] - b.antes, x.size)
-        for b in _spin_grid(x, np.stack([a, 2 * n - x - a]), overdraft=False)
+        for b in spin_each_outcome(2, x, np.stack([a, 2 * n - x - a]), overdraft=False)
     ])
     return _reachable_kernel((x, a), succ, side + n - 1, [GAME_OVER])  # from (2, n - 1)
 
@@ -230,12 +214,13 @@ def build_duration_chain(n: int) -> SparseKernel:
 
 
 def build_pot_chain(x_max: int) -> SparseKernel:
-    """Markov chain of pot sizes alone; Shtel at the cap self-loops."""
+    """Markov chain of pot sizes alone, spun with overdraft from zero
+    stacks; the pot is clamped at the cap, so a Shtel there self-loops."""
     if x_max < 4:
         raise ValueError("x_max >= 4 required")
     x = np.arange(1, x_max + 1)
-    succ = np.stack([np.full_like(x, 2), x - x // 2, x, np.minimum(x + 1, x_max)])  # Ganz, Halb, Nisht, Shtel
-    return _spin_kernel(x.tolist(), x - 1, succ - 1, np.zeros(x_max, dtype=bool))
+    succ = np.stack([np.minimum(b.pot, x_max) - 1 for b in spin_each_outcome(2, x, 0, overdraft=True)])
+    return _spin_kernel(x.tolist(), x - 1, succ, np.zeros(x_max, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +279,7 @@ def build_mod_chain(spec: ModChainSpec) -> SparseKernel:
     stacks[seat, cols] = y
     succ = np.stack([
         ((np.minimum(b.pot, cap) - 1) * lam + (b.stacks[seat, cols] - b.antes) % lam) * 2 + (2 - z)  # the turn passes
-        for b in _spin_grid(x, stacks, overdraft=True)
+        for b in spin_each_outcome(2, x, stacks, overdraft=True)
     ])
     states = list(zip(x.tolist(), y.tolist(), z.tolist()))
     return _spin_kernel(states, np.arange(x.size), succ, np.zeros(x.size, dtype=bool))

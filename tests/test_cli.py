@@ -1,9 +1,14 @@
 """CLI: exit codes, output headers, byte-level reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dreidel_lab
 from dreidel_lab import construction, hitting_bounds, kernels, montecarlo, solvers
 from dreidel_lab.cli import main
 from dreidel_lab.game import SpinCapExceeded
@@ -208,6 +213,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert not path.exists()
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_usage_error(self, tmp_path, unbuffered):
+        # buffered, the output first reaches the pipe at the final flush
+        src = str(Path(dreidel_lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        r, w = os.pipe()
+        os.close(r)  # nobody reads: the child's first write to stdout fails
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "dreidel_lab.cli", "epochs", "--k", "2", "--epochs", "100"],
+                stdout=w, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+            )
+        finally:
+            os.close(w)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert err == "error: cannot write <stdout>: Broken pipe\n"
+
 
 class TestOutputs:
     def test_header_has_runspec(self, tmp_path, capsys):
@@ -233,6 +256,17 @@ class TestOutputs:
         _, path = run(tmp_path, args, "a.csv")
         spec = json.loads(path.read_text().splitlines()[0].split("# runspec: ", 1)[1])
         assert spec["command"] == args[0] and "seed" not in spec
+
+    def test_exact_scaling_runspec_has_no_seed_or_trials(self, tmp_path, capsys):
+        args = ["scaling", "--k", "2", "--n-list", "3,4", "--mode", "exact"]
+        code = main(args + ["--seed", "5", "--trials", "7", "--plot", str(tmp_path / "mu.dat")])
+        assert code == 0
+        out = capsys.readouterr().out
+        for header in (out, (tmp_path / "mu.dat").read_text()):
+            spec = json.loads(header.splitlines()[0].split("# runspec: ", 1)[1])
+            assert spec["mode"] == "exact" and not {"seed", "trials"} & spec.keys()
+        main(args)
+        assert capsys.readouterr().out == out
 
     def test_json_format(self, tmp_path, capsys):
         _, path = run(tmp_path, ["pot-chain", "--xmax", "50", "--format", "json"], "a.json")
@@ -281,6 +315,13 @@ class TestReproducibility:
         _, a = run(tmp_path, list(args), "a.out")
         _, b = run(tmp_path, list(args), "b.out")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_table_name_does_not_change_bytes(self, tmp_path, capsys):
+        outs = []
+        for name in ("t1.csv", "t2.csv"):
+            assert main(["gamelets", "--k", "2", "--p", "1", "--table", str(tmp_path / name)]) == 0
+            outs.append((capsys.readouterr().out, (tmp_path / name).read_bytes()))
+        assert outs[0] == outs[1]
 
     def test_jobs_do_not_change_bytes(self, tmp_path, capsys):
         base = ["simulate", "--k", "2", "--n", "3", "--trials", "80000", "--seed", "1"]

@@ -102,6 +102,14 @@ class TestConstructLongGame:
         with pytest.raises(cx.ConstructionError):
             cx.validate_constructed(start, 20, g.outcomes[:-2], g.plan.t_s)
 
+    def test_validator_rejects_going_home_before_the_last_epoch(self):
+        g = cx.construct_long_game(2, 20, 60, rng=make_generator(6))
+        start = new_custom([20] * 2, GameConfig(k=2, n=20, overdraft=True))
+        assert cx.validate_constructed(start, 20, g.outcomes, g.plan.t_s) == (g.epochs, g.final_w)
+        # the first copy's last epoch sends the last player home, 120 spins in
+        with pytest.raises(cx.ConstructionError, match="went home early, at spin 120$"):
+            cx.validate_constructed(start, 20, g.outcomes * 2, g.plan.t_s)
+
 
 def brute_force_low_epoch(k, s, t_s, n):
     """Oracle: replay every outcome sequence through the rules engine."""
