@@ -4,8 +4,8 @@ draw random numbers (simulate, epochs, wald, construct, scaling) take --seed.
 Exit codes: 0 success, 1 hard bound-check failure, 2 usage error,
 infeasible parameters or an unwritable output (a closed stdout too),
 3 a computation failed its own check (a solver residual, a singular
-system, an unconverged power iteration, a bound-table truncation, a
-construction or a game rule); errors print one `error:` line to stderr.
+system, a bound-table truncation, a construction or a game rule);
+errors print one `error:` line to stderr.
 """
 
 from __future__ import annotations

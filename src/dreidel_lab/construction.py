@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .epochs import run_epoch
+from .epochs import lost_players, run_epoch
 from .game import GameConfig, GameState, apply_spin, new_game, overdraft_spins
 from .gamelets import choose_alpha, random_gamelet
 from .rng import GANZ, HALB, NISHT, SHTEL, ScriptedSource
@@ -194,13 +194,13 @@ def validate_constructed(start: GameState, n: int, outcomes: list[int], t_s: int
     state, epochs, spins, went_home = start, 0, 0, False
     while source.remaining:
         try:
-            record, state = run_epoch(state, source, epochs)
+            record, state = run_epoch(state, source)
         except IndexError:  # the source ran out
             raise ConstructionError("the outcomes stop inside an epoch") from None
         epochs += 1
         spins += record.spins_in_epoch
         went_home = not 0 <= record.end_stacks[k - 1] <= upper
-        if source.remaining and (went_home or min(record.end_stacks) < 0):
+        if source.remaining and (went_home or lost_players(record)):
             raise ConstructionError(f"a player went home early, at spin {spins}")
     if not went_home:
         raise ConstructionError("last player did not go home on the final spin")

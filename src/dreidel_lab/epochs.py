@@ -22,7 +22,6 @@ class EpochBoundaryError(GameError):
 
 @dataclass(frozen=True)
 class EpochRecord:
-    epoch_index: int
     spins_in_epoch: int
     payoff: tuple[int, ...]
     end_stacks: tuple[int, ...]
@@ -53,7 +52,7 @@ def at_epoch_boundary(state: GameState) -> bool:
     return state.pot == state.config.k and state.turn == 0 and all(state.alive)
 
 
-def run_epoch(state: GameState, rng, epoch_index: int = 0) -> tuple[EpochRecord, GameState]:
+def run_epoch(state: GameState, rng) -> tuple[EpochRecord, GameState]:
     """Play one epoch of the free-running overdraft process."""
     cfg = state.config
     if not cfg.overdraft:
@@ -76,7 +75,6 @@ def run_epoch(state: GameState, rng, epoch_index: int = 0) -> tuple[EpochRecord,
         if len(outcomes) >= game.SPIN_CAP:
             raise GameError(f"epoch exceeded {game.SPIN_CAP} spins")
     record = EpochRecord(
-        epoch_index=epoch_index,
         spins_in_epoch=len(outcomes),
         payoff=tuple(e - s for e, s in zip(state.stacks, start_stacks)),
         end_stacks=state.stacks,
@@ -119,7 +117,7 @@ def run_metaslowdel(start: GameState, n: int, rng) -> StoppingRecord:
     spins = 0
     payoffs: list[int] = []
     for t in range(1, MAX_EPOCHS + 1):
-        record, state = run_epoch(state, rng, epoch_index=t - 1)
+        record, state = run_epoch(state, rng)
         y = record.payoff[k - 1]
         payoffs.append(y)
         s += y

@@ -16,6 +16,9 @@ one batch of the array engine `game.SpinBatch` per forced outcome, with
 the spinner on seat 0; the tests check every row against the scalar
 engine `game.apply_spin`.
 
+`diagnostics` takes the period from one compiled BFS and the stationary
+law from one sparse LU.
+
 Pot overflow in the mod chain is truncated: a Shtel at the cap leaves
 the pot coordinate in place (the other coordinates still update).
 Reaching pot x from 2 needs at least x-2 Shtels, so the truncated tail
@@ -29,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
+from scipy.sparse.linalg import splu
 
 from .game import spin_each_outcome
 
@@ -38,12 +42,10 @@ P_LOSS_2 = ("loss", 2)
 GAME_OVER = "game over"  # the duration chain's one absorbing state
 
 ROW_SUM_TOL = 1e-12  # largest |row sum - 1| a kernel may have
-POWER_TOL = 1e-12  # power iteration stops once an L1 step falls below this
-POWER_MAX_ITER = 2_000_000  # ... or fails after this many steps
 
 
 class SolverError(RuntimeError):
-    """A float linear solve or iteration failed its own check."""
+    """A float linear solve failed its own check."""
 
 
 class _RowView(Sequence):
@@ -299,48 +301,46 @@ class ChainDiagnostics:
 
 
 def matrix_period(csr: sp.csr_matrix) -> int:
-    """Period via BFS levels: gcd of level[u] + 1 - level[v] over edges."""
-    n = csr.shape[0]
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    queue = [0]
-    indptr, indices = csr.indptr, csr.indices
-    while queue:
-        u = queue.pop()
-        for j in indices[indptr[u]:indptr[u + 1]]:
-            if level[j] < 0:
-                level[j] = level[u] + 1
-                queue.append(j)
+    """Period via BFS levels from state 0 (one compiled BFS): gcd of
+    level[u] + 1 - level[v] over the edges u -> v out of reached states."""
+    level = shortest_path(csr, unweighted=True, indices=0)
     rows, cols = csr.nonzero()
-    seen = (level[rows] >= 0) & (level[cols] >= 0)
-    g = int(np.gcd.reduce(np.abs(level[rows[seen]] + 1 - level[cols[seen]])))
+    reached = np.isfinite(level[rows])
+    g = int(np.gcd.reduce(np.abs(level[rows] + 1 - level[cols])[reached].astype(np.int64)))
     return g if g else 1
 
 
+def stationary_law(csr: sp.csr_matrix) -> np.ndarray:
+    """Stationary law by one sparse LU, in excursion form (Norris, *Markov
+    Chains*, 1997, sec. 1.7): with U the states other than 0 and Q = P[U, U],
+    the solution of v (I - Q) = P[0, U] is v_j = pi_j / pi_0, the expected
+    number of visits to j between two visits to 0, so pi = (1, v) / sum.
+    The system is singular unless state 0 lies in the only closed class;
+    a singular system or a negative entry raises SolverError."""
+    a = sp.identity(csr.shape[0] - 1, format="csr") - csr[1:, 1:]
+    try:
+        lu = splu(a.T.tocsc())
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"stationary law: {exc}") from None
+    pi = np.concatenate([[1.0], lu.solve(csr[0, 1:].toarray().ravel())])
+    pi /= pi.sum()
+    if not (pi >= 0).all():
+        raise SolverError(f"stationary law: entry {float(pi.min())!r} is not a probability")
+    return pi
+
+
 def diagnostics(kernel: SparseKernel, compute_stationary: bool = False) -> ChainDiagnostics:
+    """Irreducibility (strong components), the period (`matrix_period`, one
+    compiled BFS) and, on request, the stationary law (`stationary_law`, one
+    sparse LU) with its mean return times 1/pi and residual |pi P - pi|_1."""
     csr = kernel.csr
     n_comp, _ = connected_components(csr, directed=True, connection="strong")
     irreducible = n_comp == 1
     period = matrix_period(csr) if irreducible else 0
     diag = ChainDiagnostics(irreducible=irreducible, period=period)
     if compute_stationary:
-        pi, residual = power_iteration(csr)
+        pi = stationary_law(csr)
         diag.stationary = pi
         diag.mean_return = 1.0 / pi
-        diag.residual = residual
+        diag.residual = float(np.abs(csr.T @ pi - pi).sum())
     return diag
-
-
-def power_iteration(csr: sp.csr_matrix) -> tuple[np.ndarray, float]:
-    """Stationary row vector of an ergodic chain by repeated multiplication."""
-    n = csr.shape[0]
-    pi = np.full(n, 1.0 / n)
-    pt = csr.T.tocsr()
-    for _ in range(POWER_MAX_ITER):
-        nxt = pt @ pi
-        nxt /= nxt.sum()
-        residual = float(np.abs(nxt - pi).sum())
-        pi = nxt
-        if residual < POWER_TOL:
-            return pi, float(np.abs(pt @ pi - pi).sum())
-    raise SolverError(f"power iteration did not reach {POWER_TOL} in {POWER_MAX_ITER} steps")

@@ -201,7 +201,7 @@ def sample_durations(config: GameConfig, trials: int, seed: int, jobs: int = 1) 
         for c, lo in enumerate(range(0, trials, CHUNK))
     ]
     if jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             parts = list(pool.map(_duration_chunk, chunks))
     else:
         parts = [_duration_chunk(c) for c in chunks]
@@ -364,11 +364,12 @@ class GanzWaitEstimate:
 
 
 def ganz_wait(trials: int, seed: int) -> GanzWaitEstimate:
-    """Mean number of spins until the first Ganz (geometric, p = 1/4)."""
+    """Mean number of spins until a seat's first Ganz (geometric, p = 1/4),
+    read off the array engine: a k = 2 epoch lasts until the last seat's
+    first Ganz, so it is that many rounds of two spins."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = make_generator(seed)
-    waits = rng.geometric(0.25, size=trials)
+    waits = sample_epochs(2, trials, seed).lengths // 2
     mean = float(waits.mean())
     se = float(waits.std(ddof=1)) / math.sqrt(trials) if trials > 1 else float("nan")
     return GanzWaitEstimate(

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
-from .kernels import SolverError, SparseKernel, build_duration_chain  # SolverError also covers the kernels' power iteration
+from .kernels import SolverError, SparseKernel, build_duration_chain  # SolverError also covers the kernels' stationary solve
 
 RESIDUAL_TOL = 1e-12  # largest residual of a float solve, relative to max(1, |x|)
 REFINE_ROUNDS = 2  # iterative-refinement steps after each LU solve

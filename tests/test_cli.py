@@ -88,12 +88,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: SolverError: rational solution fails its integer certificate in row 0\n"
 
-    def test_unconverged_power_iteration_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(kernels, "POWER_MAX_ITER", 1)
+    def test_singular_stationary_system_exits_3(self, tmp_path, capsys, monkeypatch):
+        def singular(*a, **kw):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(kernels, "splu", singular)
         code, _ = run(tmp_path, ["pot-chain", "--xmax", "20"])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: SolverError: power iteration did not reach") and "in 1 steps" in err
+        assert err == "error: SolverError: stationary law: Factor is exactly singular\n"
 
     @pytest.mark.parametrize(
         "args, message",

@@ -90,8 +90,8 @@ class TestRunEpoch:
     def test_epoch_invariants(self, k, seed):
         state = overdraft_start(k, 4)
         rng = make_generator(seed)
-        for i in range(5):
-            record, state = run_epoch(state, rng, epoch_index=i)
+        for _ in range(5):
+            record, state = run_epoch(state, rng)
             assert sum(record.payoff) == 0
             assert record.spins_in_epoch % k == 0 and record.spins_in_epoch >= k
             assert record.outcomes[-1] is Spin.GANZ

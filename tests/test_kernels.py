@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from dreidel_lab.kernels import (
     build_pot_chain,
     diagnostics,
     game_chain_start,
-    power_iteration,
+    matrix_period,
 )
 from dreidel_lab.rng import GANZ, HALB, NISHT, SHTEL
 from dreidel_lab.solvers import absorption_stats
@@ -164,10 +165,58 @@ class TestDiagnosticsToy:
         assert diag.period == 1
         assert np.allclose(diag.stationary, [0.5, 0.5], atol=1e-10)
 
-    def test_power_iteration_failure_is_solver_error(self, monkeypatch):
-        monkeypatch.setattr("dreidel_lab.kernels.POWER_MAX_ITER", 1)
-        with pytest.raises(SolverError, match="in 1 steps"):
-            power_iteration(build_pot_chain(16).csr)
+    def test_periodic_chain_stationary_exact(self):
+        # a -> b; b -> a or c, 1/2 each; c -> b: period 2, stationary (1/4, 1/2, 1/4)
+        kernel = toy_kernel("abc", {"a": {"b": 1.0}, "b": {"a": 0.5, "c": 0.5}, "c": {"b": 1.0}})
+        t0 = time.perf_counter()
+        diag = diagnostics(kernel, compute_stationary=True)
+        assert time.perf_counter() - t0 < 0.1
+        assert diag.period == 2
+        assert np.abs(diag.stationary - [0.25, 0.5, 0.25]).max() <= 1e-15
+
+    def test_two_closed_classes_is_solver_error(self):
+        kernel = toy_kernel("ab", {"a": {"a": 1.0}, "b": {"b": 1.0}})
+        with pytest.raises(SolverError, match="exactly singular"):
+            diagnostics(kernel, compute_stationary=True)
+
+
+@pytest.mark.parametrize("x_max", [4, 30, 200, 400])
+def test_pot_chain_stationary_is_a_law(x_max):
+    diag = diagnostics(build_pot_chain(x_max), compute_stationary=True)
+    pi = diag.stationary
+    assert (pi >= 0).all() and abs(pi.sum() - 1.0) <= 1e-15 and diag.residual <= 1e-15
+
+
+def bfs_period(csr: sp.csr_matrix) -> int:
+    """Period by a Python search from state 0: the oracle for `matrix_period`."""
+    level = np.full(csr.shape[0], -1, dtype=np.int64)
+    level[0] = 0
+    queue = [0]
+    indptr, indices = csr.indptr, csr.indices
+    while queue:
+        u = queue.pop()
+        for j in indices[indptr[u]:indptr[u + 1]]:
+            if level[j] < 0:
+                level[j] = level[u] + 1
+                queue.append(j)
+    rows, cols = csr.nonzero()
+    seen = (level[rows] >= 0) & (level[cols] >= 0)
+    g = int(np.gcd.reduce(np.abs(level[rows[seen]] + 1 - level[cols[seen]])))
+    return g if g else 1
+
+
+@pytest.mark.parametrize("x_max", [4, 20, 200])
+def test_pot_chain_period_matches_bfs_oracle(x_max):
+    csr = build_pot_chain(x_max).csr
+    assert matrix_period(csr) == bfs_period(csr)
+
+
+@pytest.mark.parametrize("flavor", ["game", "formal"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mod_chain_period_matches_bfs_oracle(n, flavor):
+    for cap in (8 * n, 16 * n):
+        csr = build_mod_chain(ModChainSpec(n, cap, flavor)).csr
+        assert matrix_period(csr) == bfs_period(csr)
 
 
 def _quarter_rows(step, states) -> dict:

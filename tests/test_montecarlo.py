@@ -17,8 +17,8 @@ def scalar_epoch_sample(k, m, seed):
     state = new_custom([4] * k, GameConfig(k=k, n=4, overdraft=True))
     rng = make_generator(seed)
     ys, lengths, landslides = [], [], []
-    for i in range(m):
-        record, state = run_epoch(state, rng, epoch_index=i)
+    for _ in range(m):
+        record, state = run_epoch(state, rng)
         ys.append(record.payoff[k - 1])
         lengths.append(record.spins_in_epoch)
         landslides.append(classify_epoch(record).landslide)
@@ -93,6 +93,25 @@ class TestDurations:
         monkeypatch.setattr(game, "SPIN_CAP", 5)
         with pytest.raises(SpinCapExceeded):
             mc.sample_durations(GameConfig(k=3, n=6), 100, seed=0)
+
+    def test_jobs_capped_at_chunk_count(self, monkeypatch):
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        workers = []
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+        mc.sample_durations(GameConfig(k=2, n=3), 40_000, seed=4, jobs=8)
+        assert workers == [2]
 
     def test_jobs_do_not_change_results(self):
         cfg = GameConfig(k=2, n=4)

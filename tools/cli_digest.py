@@ -1,9 +1,9 @@
 """Digest of every README CLI command, to compare two checkouts byte for byte.
 
 Runs the README's eleven `dreidel-lab` commands in-process (`simulate`
-with `--jobs 1`), twelve usage errors and three runs whose bytes must
-not depend on an output name or an ignored setting, each in a fresh
-temporary directory.
+with `--jobs 1`), twelve usage errors and four runs whose bytes must
+not depend on an output name, an ignored setting or the number of
+worker processes, each in a fresh temporary directory.
 Prints one tab-separated line per output file: the command, its exit
 code (or the type of the exception it raised), the file (stdout, stderr,
 or a file the command wrote) and the file's sha256.
@@ -59,12 +59,14 @@ COMMANDS = [
     "bounds --n 3 --seed 1",
     "report --n-list 3..4 --format json",
     "epochs --k 2 --epochs 100 --plot lengths.dat -o missing/x.csv",
-    # settings that must not reach the runspec: another --table name (stdout
-    # as for signatures.csv), and the --seed and --trials exact scaling
-    # ignores (stdout as without them)
+    # settings that must not change the bytes: another --table name (stdout
+    # as for signatures.csv), the --seed and --trials exact scaling ignores
+    # (stdout as without them), and two worker processes (stdout as with
+    # --jobs 1; this line starts two processes)
     "gamelets --k 2 --p 4 --table other.csv",
     "scaling --k 2 --n-list 3,4 --mode exact --seed 5 --trials 7",
     "scaling --k 2 --n-list 3,4 --mode exact",
+    "simulate --k 2 --n 8 --trials 100000 --seed 7 --jobs 2",
 ]
 FILE_FLAGS = ("--plot", "--table", "-o")
 
