@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .epochs import lost_players, run_epoch
+from .epochs import lost_players, run_epoch, window_side
 from .game import GameConfig, GameState, apply_spin, new_game, overdraft_spins
 from .gamelets import choose_alpha, random_gamelet
 from .rng import GANZ, HALB, NISHT, SHTEL, ScriptedSource
@@ -118,10 +118,6 @@ class PhasePlan:
     m: int
     phase_spins: tuple[int, int, int, int]
 
-    @property
-    def total_spins(self) -> int:
-        return sum(self.phase_spins)
-
 
 @dataclass
 class ConstructedGame:
@@ -184,14 +180,14 @@ def validate_constructed(start: GameState, n: int, outcomes: list[int], t_s: int
     and enforce its contract.
 
     Raises ConstructionError unless: the outcomes end on an epoch end;
-    the last player's token count stays inside [0, k(n-1)] and every
-    player's stays nonnegative at every epoch end except the last, where
-    the last player goes home; the epoch count is at least t_s.
+    the last player's token count stays inside the metaslowdel window
+    (`epochs.window_side`) and every player's stays nonnegative at every
+    epoch end except the last, where the last player goes home; the epoch
+    count is at least t_s.
     """
     k = start.config.k
-    upper = k * (n - 1)
     source = ScriptedSource(outcomes)
-    state, epochs, spins, went_home = start, 0, 0, False
+    state, epochs, spins, left_window = start, 0, 0, False
     while source.remaining:
         try:
             record, state = run_epoch(state, source)
@@ -199,10 +195,10 @@ def validate_constructed(start: GameState, n: int, outcomes: list[int], t_s: int
             raise ConstructionError("the outcomes stop inside an epoch") from None
         epochs += 1
         spins += record.spins_in_epoch
-        went_home = not 0 <= record.end_stacks[k - 1] <= upper
-        if source.remaining and (went_home or lost_players(record)):
+        left_window = window_side(record.end_stacks[k - 1], k, n) != 0
+        if source.remaining and (left_window or lost_players(record)):
             raise ConstructionError(f"a player went home early, at spin {spins}")
-    if not went_home:
+    if not left_window:
         raise ConstructionError("last player did not go home on the final spin")
     if epochs < t_s:
         raise ConstructionError(f"only {epochs} epochs, need at least {t_s}")
@@ -242,15 +238,15 @@ def count_low_epoch_games(k: int, s: int, t_s: int, n: int) -> LowEpochCount:
     carries: the pot, the last player's stack w and the epochs so far.
     Each spin's four outcomes come from `game.overdraft_spins`, one step
     of the array engine `game.SpinBatch`.
-    A path is dropped once the last player goes home (w < 0 or
-    w > k(n-1) at the end of an epoch) before spin k*s; at spin k*s only
-    a Ganz that sends the last player home is kept.
+    A path is dropped once the last player goes home (w leaves the
+    metaslowdel window, `epochs.window_side`, at the end of an epoch)
+    before spin k*s; at spin k*s only a Ganz that sends the last player
+    home is kept.
     """
     for name, value, least in (("k", k, 2), ("s", s, 1), ("n", n, 1), ("t_s", t_s, 0)):
         if value < least:
             raise ValueError(f"need {name} >= {least}, got {name}={value}")
     ks = k * s
-    upper = k * (n - 1)
     layer: dict[tuple[int, int, int], int] = {(k, n - 1, 0): 1}
     for t in range(ks):
         mine = t % k == k - 1  # the last player spins
@@ -262,7 +258,7 @@ def count_low_epoch_games(k: int, s: int, t_s: int, n: int) -> LowEpochCount:
                     key = (pot2, w - ante, epochs)
                 else:  # the last player's Ganz, the one spin with an ante, ends an epoch
                     w2 = w + gain - ante
-                    if (ante == 1 and not 0 <= w2 <= upper) != final:  # home exactly at spin ks
+                    if (ante == 1 and window_side(w2, k, n) != 0) != final:  # home exactly at spin ks
                         continue
                     key = (pot2, w2, epochs + ante)
                 nxt[key] = nxt.get(key, 0) + cnt

@@ -27,16 +27,6 @@ class EpochRecord:
     end_stacks: tuple[int, ...]
     outcomes: tuple[Spin, ...]
 
-    @property
-    def rounds(self) -> int:
-        return self.spins_in_epoch // len(self.payoff)
-
-
-@dataclass(frozen=True)
-class EpochFlags:
-    landslide: bool
-    rounds: int
-
 
 @dataclass(frozen=True)
 class StoppingRecord:
@@ -83,15 +73,14 @@ def run_epoch(state: GameState, rng) -> tuple[EpochRecord, GameState]:
     return record, state
 
 
-def classify_epoch(record: EpochRecord) -> EpochFlags:
+def is_landslide(record: EpochRecord) -> bool:
     """Landslide: exactly one round of k-1 Shtels followed by a Ganz."""
     k = len(record.payoff)
-    landslide = (
+    return (
         record.spins_in_epoch == k
         and all(o is Spin.SHTEL for o in record.outcomes[: k - 1])
         and record.outcomes[-1] is Spin.GANZ
     )
-    return EpochFlags(landslide=landslide, rounds=record.rounds)
 
 
 def lost_players(record: EpochRecord) -> tuple[int, ...]:
@@ -99,19 +88,21 @@ def lost_players(record: EpochRecord) -> tuple[int, ...]:
     return tuple(p for p, s in enumerate(record.end_stacks) if s < 0)
 
 
-def run_metaslowdel(start: GameState, n: int, rng) -> StoppingRecord:
-    """Run epochs until the last player's cumulative payoff leaves the window.
+def window_side(w, k: int, n: int):
+    """Which side of the metaslowdel window [0, k(n-1)] the last player's
+    token count w lies on: -1 below (the last player is ruined), 0 inside,
+    +1 above (an opponent is).  Works on ints and elementwise on arrays."""
+    return (w > k * (n - 1)) * 1 - (w < 0) * 1
 
-    The window for the partial sums S_j is (-W0, k(n-1) - W0]: below it
-    the last player is ruined, above it the opponents are.
-    """
+
+def run_metaslowdel(start: GameState, n: int, rng) -> StoppingRecord:
+    """Run epochs until the last player's token count W0 + S_j, after the
+    partial sum S_j of its payoffs, leaves the window (`window_side`)."""
     cfg = start.config
     if not cfg.overdraft:
         raise EpochBoundaryError("metaslowdel requires overdraft mode")
     k = cfg.k
     w0 = start.stacks[k - 1]
-    lower = -w0
-    upper = k * (n - 1) - w0
     state = start
     s = 0
     spins = 0
@@ -122,8 +113,8 @@ def run_metaslowdel(start: GameState, n: int, rng) -> StoppingRecord:
         payoffs.append(y)
         s += y
         spins += record.spins_in_epoch
-        if s < lower:
-            return StoppingRecord(w0=w0, t=t, s_t=s, u=spins, side="lower", payoffs=tuple(payoffs))
-        if s > upper:
-            return StoppingRecord(w0=w0, t=t, s_t=s, u=spins, side="upper", payoffs=tuple(payoffs))
+        side = window_side(w0 + s, k, n)
+        if side:
+            return StoppingRecord(w0=w0, t=t, s_t=s, u=spins, side="upper" if side > 0 else "lower",
+                                  payoffs=tuple(payoffs))
     raise GameError(f"no stopping event within {MAX_EPOCHS} epochs")

@@ -40,6 +40,7 @@ class SignatureTable:
 
 
 MAX_PK = 14  # the longest gamelet body enumerated, in spins
+MAX_LAYER = 5 * 10**6  # DP keys one spin may make; (11, 1) reaches 4.1e6 keys in 2 GB
 ALPHA_GRID_STEP = 1e-4  # choose_alpha searches (0, 1/2) on this grid
 
 
@@ -49,8 +50,11 @@ def enumerate_signatures(k: int, p: int) -> SignatureTable:
     Exact dynamic count over (pot, delta) summaries: sequences with the
     same running pot and per-role deltas are interchangeable, and the
     last role's delta is pot-implied, so only roles 0..k-2 are carried
-    and the state space stays tiny.  Each spin's four outcomes come from
+    and the state space stays small.  Each spin's four outcomes come from
     `game.overdraft_spins`, one step of the array engine `game.SpinBatch`.
+    Where a key is nearly a sequence (p = 1) the layers grow about 4-fold
+    a spin, so a layer that could pass MAX_LAYER keys is refused before
+    it is built.
     """
     if k < 2 or p < 1:
         raise ValueError("need k >= 2 and p >= 1")
@@ -58,6 +62,10 @@ def enumerate_signatures(k: int, p: int) -> SignatureTable:
         raise ValueError(f"p*k = {p * k} too large to enumerate")
     layer: dict[tuple, int] = {(k, (0,) * (k - 1)): 1}
     for t in range(p * k + 1):
+        bound = len(layer) * (1 if t == p * k else 4)
+        if bound > MAX_LAYER:
+            raise ValueError(f"k={k}, p={p} too large to enumerate: spin {t + 1} could make "
+                             f"{bound} keys, past {MAX_LAYER}")
         role = t % k
         nxt: dict[tuple, int] = {}
         for (pot, ds), cnt in layer.items():

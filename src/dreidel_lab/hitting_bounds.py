@@ -67,7 +67,7 @@ def _quantities(spec: ModChainSpec) -> dict[str, float]:
     mu0 = mean_return_time(base)
     del lu, base
 
-    ends = frozenset(spec.end_states())
+    ends = frozenset(filter(spec.is_end_state, kernel.states))
     out["p_f"] = HitSolver(kernel, ends, frozenset({s0})).prob(s0, first_step_exempt=True)
     out["mu0"] = mu0
     return out

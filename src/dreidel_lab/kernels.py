@@ -258,15 +258,6 @@ class ModChainSpec:
         n = self.n
         return y in (2 * n + 1, 2 * n + 2) or x + y > 2 * n
 
-    def end_states(self) -> list[tuple[int, int, int]]:
-        return [
-            (x, y, z)
-            for x in range(1, self.p_max + 1)
-            for y in range(self.lam)
-            for z in (1, 2)
-            if self.is_end_state((x, y, z))
-        ]
-
 
 def build_mod_chain(spec: ModChainSpec) -> SparseKernel:
     """The full (pot, y, turn) grid, numbered x-major then y then turn, spun

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import game
+from .epochs import window_side
 from .game import GameConfig, SpinBatch, SpinCapExceeded
 from .reporting import BoundReport
 from .rng import GANZ, SHTEL, make_generator
@@ -36,6 +37,12 @@ class EpochSample:
     y: np.ndarray          # last player's payoff per epoch
     lengths: np.ndarray    # spins per epoch
     landslide: np.ndarray  # bool per epoch
+
+
+def _chunks(seed: int, draws: int) -> list[tuple[np.random.Generator, int]]:
+    """Split `draws` into chunks of at most CHUNK; chunk c draws from the
+    stream (seed, c), so no result depends on which worker runs it."""
+    return [(make_generator(seed, c), min(CHUNK, draws - lo)) for c, lo in enumerate(range(0, draws, CHUNK))]
 
 
 def _run_epochs(k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,19 +78,9 @@ def sample_epochs(k: int, n_epochs: int, seed: int) -> EpochSample:
         raise ValueError(f"k must be at least 2, got k={k}")
     if n_epochs < 1:
         raise ValueError(f"n_epochs must be at least 1, got n_epochs={n_epochs}")
-    ys, lens, lss = [], [], []
-    for c, lo in enumerate(range(0, n_epochs, CHUNK)):
-        m = min(CHUNK, n_epochs - lo)
-        y, ln, ls = _run_epochs(k, m, make_generator(seed, c))
-        ys.append(y)
-        lens.append(ln)
-        lss.append(ls)
-    return EpochSample(
-        k=k,
-        y=np.concatenate(ys),
-        lengths=np.concatenate(lens),
-        landslide=np.concatenate(lss),
-    )
+    parts = [_run_epochs(k, m, rng) for rng, m in _chunks(seed, n_epochs)]
+    y, lengths, landslide = (np.concatenate(a) for a in zip(*parts))
+    return EpochSample(k=k, y=y, lengths=lengths, landslide=landslide)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +156,13 @@ def payoff_sample(k: int, epochs: int, seed: int) -> PayoffStats:
 # duration estimation
 
 
+def _estimate(values: np.ndarray) -> tuple[float, float, tuple[float, float]]:
+    """Mean, its standard error (NaN for one value) and the Z99 interval."""
+    mean = float(values.mean())
+    se = float(values.std(ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else float("nan")
+    return mean, se, (mean - Z99 * se, mean + Z99 * se)
+
+
 @dataclass(frozen=True)
 class DurationEstimate:
     k: int
@@ -176,8 +180,7 @@ class DurationEstimate:
 def _duration_chunk(args) -> np.ndarray:
     """Spin counts of m plain-dreidel games, each run until at most one
     player is left."""
-    config, seed, chunk_index, m = args
-    rng = make_generator(seed, chunk_index)
+    config, rng, m = args
     batch = SpinBatch(config.k, m, config.n - 1, overdraft=False)
     out = np.zeros(m, dtype=np.int64)
     spins = np.zeros(m, dtype=np.int64)
@@ -196,10 +199,7 @@ def _duration_chunk(args) -> np.ndarray:
 
 
 def sample_durations(config: GameConfig, trials: int, seed: int, jobs: int = 1) -> np.ndarray:
-    chunks = [
-        (config, seed, c, min(CHUNK, trials - lo))
-        for c, lo in enumerate(range(0, trials, CHUNK))
-    ]
+    chunks = [(config, rng, m) for rng, m in _chunks(seed, trials)]
     if jobs > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             parts = list(pool.map(_duration_chunk, chunks))
@@ -211,13 +211,7 @@ def sample_durations(config: GameConfig, trials: int, seed: int, jobs: int = 1) 
 def estimate_mean_duration(config: GameConfig, trials: int, seed: int, jobs: int = 1) -> DurationEstimate:
     if trials < 1:
         raise ValueError("need at least one trial")
-    durations = sample_durations(config, trials, seed, jobs=jobs)
-    mean = float(durations.mean())
-    if trials > 1:
-        se = float(durations.std(ddof=1)) / math.sqrt(trials)
-    else:
-        se = float("nan")
-    ci = (mean - Z99 * se, mean + Z99 * se)
+    mean, se, ci = _estimate(sample_durations(config, trials, seed, jobs=jobs))
     return DurationEstimate(k=config.k, n=config.n, trials=trials, mean=mean, se=se, ci99=ci)
 
 
@@ -242,10 +236,8 @@ def sample_stopping(k: int, n: int, w0: int, runs: int, seed: int) -> StoppingSa
         raise ValueError(f"k must be at least 2, got k={k}")
     if runs < 2:  # wald_report needs sample variances
         raise ValueError(f"runs must be at least 2, got runs={runs}")
-    if not 0 <= w0 <= k * (n - 1):
+    if window_side(w0, k, n):
         raise ValueError("w0 outside [0, k(n-1)]")
-    lower = -w0
-    upper = k * (n - 1) - w0
     s = np.zeros(runs, dtype=np.int64)
     t = np.zeros(runs, dtype=np.int64)
     u = np.zeros(runs, dtype=np.int64)
@@ -256,10 +248,9 @@ def sample_stopping(k: int, n: int, w0: int, runs: int, seed: int) -> StoppingSa
         s[active] += y
         t[active] += 1
         u[active] += lengths
-        sa = s[active]
-        active = active[(sa >= lower) & (sa <= upper)]
+        active = active[window_side(w0 + s[active], k, n) == 0]
         epoch += 1
-    return StoppingSample(k=k, n=n, w0=w0, t=t, s_t=s, u=u, side_upper=s > upper)
+    return StoppingSample(k=k, n=n, w0=w0, t=t, s_t=s, u=u, side_upper=window_side(w0 + s, k, n) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +361,9 @@ def ganz_wait(trials: int, seed: int) -> GanzWaitEstimate:
     if trials < 1:
         raise ValueError("need at least one trial")
     waits = sample_epochs(2, trials, seed).lengths // 2
-    mean = float(waits.mean())
-    se = float(waits.std(ddof=1)) / math.sqrt(trials) if trials > 1 else float("nan")
-    return GanzWaitEstimate(
-        trials=trials,
-        mean=mean,
-        se=se,
-        ci99=(mean - Z99 * se, mean + Z99 * se),
-        counts=tuple(int(c) for c in np.bincount(waits)),
-    )
+    mean, se, ci = _estimate(waits)
+    return GanzWaitEstimate(trials=trials, mean=mean, se=se, ci99=ci,
+                            counts=tuple(int(c) for c in np.bincount(waits)))
 
 
 # ---------------------------------------------------------------------------

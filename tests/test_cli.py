@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import dreidel_lab
-from dreidel_lab import construction, hitting_bounds, kernels, montecarlo, solvers
+from dreidel_lab import construction, gamelets, hitting_bounds, kernels, montecarlo, solvers
 from dreidel_lab.cli import main
-from dreidel_lab.game import SpinCapExceeded
+from dreidel_lab.game import GameConfig, SpinCapExceeded
 
 
 def run(tmp_path, args, name="out.txt"):
@@ -197,13 +197,27 @@ class TestExitCodes:
             (["report", "--n-list", "0..3"], "error: n >= 1 required\n"),
             (["hitprob", "--n", "0", "--y1", "0", "--z1", "1", "--y2", "1", "--z2", "1",
               "--y3", "2", "--z3", "1"], "error: n >= 1 required\n"),
+            (["exact", "--n", "0"], "error: n >= 1 required\n"),
+            (["scaling", "--k", "2", "--n-list", "0,3", "--mode", "exact"], "error: n >= 1 required\n"),
         ],
-        ids=["pmax-0", "bounds-n-0", "bounds-n-negative", "report-n-0", "hitprob-n-0"],
+        ids=["pmax-0", "bounds-n-0", "bounds-n-negative", "report-n-0", "hitprob-n-0", "exact-n-0",
+             "exact-scaling-n-0"],
     )
     def test_out_of_range_n_or_cap_is_usage_error(self, tmp_path, capsys, args, message):
         code, path = run(tmp_path, args)
         assert code == 2
         assert capsys.readouterr().err == message
+        assert not path.exists()
+
+    def test_gamelet_layer_past_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        args = ["gamelets", "--k", "4", "--p", "3"]
+        assert run(tmp_path, args, "a.csv")[0] == 0
+        capsys.readouterr()
+        monkeypatch.setattr(gamelets, "MAX_LAYER", 1000)
+        code, path = run(tmp_path, args, "b.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: k=4, p=3 too large to enumerate: ") and err.count("\n") == 1
         assert not path.exists()
 
     @pytest.mark.parametrize("alpha", ["-1", "1.5", "nan"])
@@ -300,6 +314,59 @@ class TestOutputs:
         )
         assert code == 0
         assert plot.read_text().splitlines()[-1].startswith("8 ")
+
+
+def csv_rows(path):
+    """The data rows of a CSV artifact, below its two header lines and column names."""
+    return [line.split(",") for line in path.read_text().splitlines()[3:]]
+
+
+class TestReadmeCommands:
+    """README commands at small sizes, run in-process."""
+
+    def test_report_has_one_passing_table_per_n(self, tmp_path, capsys):
+        code, path = run(tmp_path, ["report", "--n-list", "3..4"], "verdicts.md")
+        assert code == 0
+        lines = path.read_text().splitlines()
+        assert [line for line in lines if line.startswith("## ")] == [
+            "## hitting bounds, n=3", "## hitting bounds, n=4"]
+        rows = [[c.strip() for c in line.strip("|").split("|")] for line in lines
+                if line.startswith("| ") and not line.startswith("| name")]
+        assert len(rows) > 2 * 4
+        for name, _, _, verdict in rows:  # mu_d is the one report-only row
+            assert verdict == ("report" if name == "mu_d" else "pass"), name
+
+    def test_exact_rational_agrees_with_float(self, tmp_path, capsys):
+        code, path = run(tmp_path, ["exact", "--n", "4", "--rational"], "a.csv")
+        assert code == 0
+        values = {q: float(v) for q, _, v in csv_rows(path)}
+        assert abs(values["mu_d"] - values["mu_d_rational"]) <= 1e-9
+
+    def test_construct_json_holds_the_whole_game(self, tmp_path, capsys):
+        code, path = run(tmp_path, ["construct", "--k", "2", "--n", "20", "--s", "60", "--format", "json"], "g.json")
+        assert code == 0
+        data = json.loads(path.read_text())["data"]
+        assert len(data["outcomes"]) == 2 * 60
+        assert data["epochs"] >= data["t_s"]
+
+    def test_epochs_plot_is_the_length_histogram(self, tmp_path, capsys):
+        plot = tmp_path / "lengths.dat"
+        code, _ = run(tmp_path, ["epochs", "--k", "2", "--epochs", "5000", "--plot", str(plot)])
+        assert code == 0
+        points = [tuple(map(int, line.split())) for line in plot.read_text().splitlines()[2:]]
+        assert sum(count for _, count in points) == 5000
+        assert all(length % 2 == 0 for length, _ in points)
+
+    def test_mc_scaling_reads_the_duration_estimate(self, tmp_path, capsys):
+        args = ["scaling", "--k", "3", "--n-list", "3,4", "--trials", "2000", "--jobs", "1"]
+        code, path = run(tmp_path, args, "s.csv")
+        assert code == 0
+        rows = csv_rows(path)
+        assert [int(r[0]) for r in rows] == [3, 4]
+        for n, mean, se, exact, *_ in rows:
+            est = montecarlo.estimate_mean_duration(GameConfig(k=3, n=int(n)), 2000, 0)
+            assert float(mean) == est.mean and float(se) == est.se
+            assert exact == ""
 
 
 class TestReproducibility:

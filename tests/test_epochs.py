@@ -1,16 +1,18 @@
 """Epoch machinery: boundaries, payoffs, landslides, stopping records."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreidel_lab.epochs import (
     EpochBoundaryError,
     at_epoch_boundary,
-    classify_epoch,
+    is_landslide,
     lost_players,
     new_custom,
     run_epoch,
     run_metaslowdel,
+    window_side,
 )
 from dreidel_lab.game import GameConfig, Spin
 from dreidel_lab.rng import GANZ, NISHT, SHTEL, ScriptedSource, make_generator
@@ -48,7 +50,7 @@ class TestRunEpoch:
         assert record.spins_in_epoch == 2
         assert record.payoff == (-2, 2)  # P2 payoff 2k-2 = 2
         assert at_epoch_boundary(end)
-        assert classify_epoch(record).landslide
+        assert is_landslide(record)
 
     def test_two_round_epoch(self):
         record, end = run_epoch(
@@ -56,7 +58,7 @@ class TestRunEpoch:
         )
         assert record.spins_in_epoch == 4
         assert sum(record.payoff) == 0
-        assert not classify_epoch(record).landslide
+        assert not is_landslide(record)
         assert at_epoch_boundary(end)
 
     def test_mid_round_ganz_does_not_close(self):
@@ -99,6 +101,15 @@ class TestRunEpoch:
             finals = record.outcomes[k - 1 : -1 : k]
             assert all(o is not Spin.GANZ for o in finals)
             assert at_epoch_boundary(state)
+
+
+class TestWindowSide:
+    @pytest.mark.parametrize("k, n", [(2, 1), (2, 4), (3, 5)])
+    def test_ints_and_arrays_agree(self, k, n):
+        w = np.arange(-3, k * (n - 1) + 4)
+        expected = [-1 if x < 0 else 1 if x > k * (n - 1) else 0 for x in w.tolist()]
+        assert [window_side(x, k, n) for x in w.tolist()] == expected
+        assert window_side(w, k, n).tolist() == expected
 
 
 class TestRunMetaslowdel:

@@ -49,6 +49,18 @@ class TestEnumerateSignatures:
         with pytest.raises(ValueError):
             gl.enumerate_signatures(1, 1)
 
+    @pytest.mark.parametrize("cap, runs", [(None, True), (4 * 24_435, True), (4 * 24_435 - 1, False), (1000, False)])
+    def test_layer_cap(self, monkeypatch, cap, runs):
+        # (4, 3): spin 12 makes up to 4 * 24,435 keys; the closing Ganz keeps
+        # one successor for each of its 34,422, the largest layer
+        if cap is not None:
+            monkeypatch.setattr(gl, "MAX_LAYER", cap)
+        if runs:
+            assert gl.enumerate_signatures(4, 3).total == 4**12
+        else:
+            with pytest.raises(ValueError, match=rf"k=4, p=3 too large to enumerate: .* keys, past {cap}$"):
+                gl.enumerate_signatures(4, 3)
+
 
 class TestSignatureOfSequence:
     def test_known_landslide(self):

@@ -93,7 +93,7 @@ def _quantities_per_query(spec: ModChainSpec) -> dict[str, float]:
     s2 = frozenset({(2, (n - 1) % lam, 1), (2, n % lam, 1)})
     out["omega1"] = HitSolver(kernel, frozenset({(2, n % lam, 1)}), s1).prob(s0, first_step_exempt=True)
     out["omega2"] = HitSolver(kernel, frozenset({(2, (n - 2) % lam, 1)}), s2).prob(s0, first_step_exempt=True)
-    ends = frozenset(spec.end_states())
+    ends = frozenset(filter(spec.is_end_state, kernel.states))
     out["p_f"] = HitSolver(kernel, ends, frozenset({s0})).prob(s0, first_step_exempt=True)
     a = kernel.csr.toarray().T - np.eye(kernel.n_states)
     a[-1] = 1.0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreidel_lab import game, montecarlo as mc
-from dreidel_lab.epochs import new_custom, run_epoch, classify_epoch
+from dreidel_lab.epochs import new_custom, run_epoch, is_landslide
 from dreidel_lab.game import GameConfig, SpinCapExceeded, play_game
 from dreidel_lab.rng import make_generator
 
@@ -21,7 +21,7 @@ def scalar_epoch_sample(k, m, seed):
         record, state = run_epoch(state, rng)
         ys.append(record.payoff[k - 1])
         lengths.append(record.spins_in_epoch)
-        landslides.append(classify_epoch(record).landslide)
+        landslides.append(is_landslide(record))
     return np.array(ys), np.array(lengths), np.array(landslides)
 
 

@@ -1,9 +1,10 @@
 """Digest of every README CLI command, to compare two checkouts byte for byte.
 
 Runs the README's eleven `dreidel-lab` commands in-process (`simulate`
-with `--jobs 1`), twelve usage errors and four runs whose bytes must
-not depend on an output name, an ignored setting or the number of
-worker processes, each in a fresh temporary directory.
+with `--jobs 1`), twelve usage errors, four runs whose bytes must not
+depend on an output name, an ignored setting or the number of worker
+processes, and a Monte Carlo `scaling` run at `--jobs 1` and `--jobs 2`,
+each in a fresh temporary directory.
 Prints one tab-separated line per output file: the command, its exit
 code (or the type of the exception it raised), the file (stdout, stderr,
 or a file the command wrote) and the file's sha256.
@@ -67,6 +68,10 @@ COMMANDS = [
     "scaling --k 2 --n-list 3,4 --mode exact --seed 5 --trials 7",
     "scaling --k 2 --n-list 3,4 --mode exact",
     "simulate --k 2 --n 8 --trials 100000 --seed 7 --jobs 2",
+    # the duration sampler through `scaling --mode mc`: stdout as with --jobs 1
+    # (2000 trials are one chunk, so --jobs 2 starts no process here)
+    "scaling --k 3 --n-list 3,4 --trials 2000 --seed 5 --jobs 1",
+    "scaling --k 3 --n-list 3,4 --trials 2000 --seed 5 --jobs 2",
 ]
 FILE_FLAGS = ("--plot", "--table", "-o")
 
