@@ -159,13 +159,12 @@ def cmd_hitprob(args) -> int:
     p_max = hitting_bounds.START_CAP_PER_N * args.n if args.pmax is None else args.pmax
     spec = kernels.ModChainSpec(n=args.n, p_max=p_max, flavor=args.flavor)
     kernel = kernels.build_mod_chain(spec)
-    lam = spec.lam
     solver = solvers.HitSolver(
         kernel,
-        target=frozenset({(2, args.y2 % lam, args.z2)}),
-        avoid=frozenset({(2, args.y3 % lam, args.z3)}),
+        target=frozenset({spec.pot2(args.y2, args.z2)}),
+        avoid=frozenset({spec.pot2(args.y3, args.z3)}),
     )
-    prob = solver.prob((2, args.y1 % lam, args.z1), first_step_exempt=args.exempt)
+    prob = solver.prob(spec.pot2(args.y1, args.z1), first_step_exempt=args.exempt)
     _emit(
         args,
         _runspec(args),

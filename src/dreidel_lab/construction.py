@@ -182,12 +182,12 @@ def validate_constructed(start: GameState, n: int, outcomes: list[int], t_s: int
     Raises ConstructionError unless: the outcomes end on an epoch end;
     the last player's token count stays inside the metaslowdel window
     (`epochs.window_side`) and every player's stays nonnegative at every
-    epoch end except the last, where the last player goes home; the epoch
-    count is at least t_s.
+    epoch end except the last, where the last player wins by leaving the
+    window above; the epoch count is at least t_s.
     """
     k = start.config.k
     source = ScriptedSource(outcomes)
-    state, epochs, spins, left_window = start, 0, 0, False
+    state, epochs, spins, side = start, 0, 0, 0
     while source.remaining:
         try:
             record, state = run_epoch(state, source)
@@ -195,11 +195,11 @@ def validate_constructed(start: GameState, n: int, outcomes: list[int], t_s: int
             raise ConstructionError("the outcomes stop inside an epoch") from None
         epochs += 1
         spins += record.spins_in_epoch
-        left_window = window_side(record.end_stacks[k - 1], k, n) != 0
-        if source.remaining and (left_window or lost_players(record)):
+        side = window_side(record.end_stacks[k - 1], k, n)
+        if source.remaining and (side or lost_players(record)):
             raise ConstructionError(f"a player went home early, at spin {spins}")
-    if not left_window:
-        raise ConstructionError("last player did not go home on the final spin")
+    if side <= 0:
+        raise ConstructionError("last player did not win on the final spin")
     if epochs < t_s:
         raise ConstructionError(f"only {epochs} epochs, need at least {t_s}")
     return epochs, state.stacks[k - 1]

@@ -345,46 +345,38 @@ class SpinBatch:
         """One spin by the seat on turn in every game it is still in.
 
         Draws one outcome per spinning game in a single call, and returns
-        the outcome per game, -1 where the seat sat out.
+        the outcome per game, -1 where the seat sat out, so that nothing
+        moves in that game.
         """
         seat = self.seat
         self.seat = (seat + 1) % self.k
         on = self.alive[seat]
-        every = self.overdraft or bool(on.all())
-        idx = slice(None) if every else np.flatnonzero(on)
-        pot = self.pot[idx]  # views when every game spins, copies otherwise
-        mine = self.stacks[seat, idx]
-        o = np.asarray(rng.integers(0, 4, size=pot.size))
+        o = np.asarray(rng.integers(0, 4, size=np.count_nonzero(on)))
+        if o.size < on.size:  # the seat is out of some games and sits out there
+            drawn, o = o, np.full(on.size, -1, dtype=o.dtype)
+            o[on] = drawn
         g = o == GANZ
         s = o == SHTEL
-        take = (o == HALB) * (pot >> 1) + g * pot
+        take = (o == HALB) * (self.pot >> 1) + g * self.pot
         if not self.overdraft:
-            broke = s & (mine == self.antes[idx])
+            broke = s & (self.stacks[seat] == self.antes)
             if broke.any():  # the spinner cannot pay: out, pot unchanged
                 s ^= broke
-                out = np.flatnonzero(broke) if every else idx[broke]
-                self.alive[seat, out] = False
-                self.live[out] -= 1
-        mine += take - s
-        pot += s - take
+                self.alive[seat, broke] = False
+                self.live -= broke
+        self.stacks[seat] += take - s
+        self.pot += s - take
         if self.overdraft:  # a Ganz empties the pot and all k players ante
-            pot += self.k * g
+            self.pot += self.k * g
             self.antes += g
             return o
-        if not every:
-            self.pot[idx] = pot
-            self.stacks[seat, idx] = mine
-        gi = np.flatnonzero(g) if every else idx[g]
+        gi = np.flatnonzero(g)
         if gi.size:  # ante after a Ganz: players on zero are out
             pays = self.alive[:, gi] & (self.stacks[:, gi] > self.antes[gi])
             self.alive[:, gi] = pays
             self.antes[gi] += 1
             self.pot[gi] = self.live[gi] = pays.sum(axis=0)
-        if every:
-            return o
-        full = np.full(on.size, -1, dtype=o.dtype)
-        full[idx] = o
-        return full
+        return o
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop the games where `rows` is False."""

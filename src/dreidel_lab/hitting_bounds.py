@@ -46,21 +46,19 @@ def _quantities(spec: ModChainSpec) -> dict[str, float]:
     and omega, whose small boundaries it reaches by low-rank updates; p_f
     has its own LU off the end states, made once the first is released."""
     n = spec.n
-    lam = spec.lam
     kernel = build_mod_chain(spec)
-    y1 = (n - 1) % lam
-    s0 = spec.start  # (2, y1, 1)
+    s0 = spec.start  # pot2(n - 1, 1)
     base = RestrictedLU(kernel, {s0})
 
-    # A_m: reach (2, y1 + m, 2) before (2, y1 - 1, 1); B_m mirrors it
+    # A_m: reach pot2(n - 1 + m, 2) before pot2(n - 2, 1); B_m mirrors it
     ms = range(1, n + 2)
-    queries = [(s0, (2, (y1 + sign * m) % lam, 2), (2, (y1 - sign) % lam, 1))
+    queries = [(s0, spec.pot2(n - 1 + sign * m, 2), spec.pot2(n - 1 - sign, 1))
                for sign in (1, -1) for m in ms]
     out: dict[str, float] = dict(zip([f"{name}_{m}" for name in "AB" for m in ms], _hits(base, queries)))
 
     # omega1: reach y = n before n-1, n-2; omega2: reach n-2 before n-1, n;
     # both leave s0 = (2, n-1, 1) on the first step
-    points = [(2, (n + d) % lam, 1) for d in (-2, -1, 0)]
+    points = [spec.pot2(n + d, 1) for d in (-2, -1, 0)]
     lu = RestrictedLU(kernel, points, base=base)
     out["omega1"] = next_step_mean(kernel, s0, lu.harmonic({points[2]}))
     out["omega2"] = next_step_mean(kernel, s0, lu.harmonic({points[0]}))
@@ -153,9 +151,6 @@ def identity_checks(
     flavor_tag = {"game": 0, "formal": 1}[flavor]
     rng = make_generator(seed, n, flavor_tag)
 
-    def pot2(y, z):
-        return (2, y % lam, z)
-
     # four queries (start, target, avoid) per draw: p, p_swap, p_shift, p_dual
     queries = []
     while len(queries) < 4 * n_queries:
@@ -165,12 +160,12 @@ def identity_checks(
             continue
         m = int(rng.integers(1, lam))
         yz = ((y1, z1), (y2, z2), (y3, z3))
-        x, a, b = (pot2(y, z) for y, z in yz)
+        x, a, b = (spec.pot2(y, z) for y, z in yz)
         queries += [
             (x, a, b),
             (x, b, a),
-            tuple(pot2(y + m, z) for y, z in yz),
-            tuple(pot2(-y - 2, 3 - z) for y, z in yz),
+            tuple(spec.pot2(y + m, z) for y, z in yz),
+            tuple(spec.pot2(-y - 2, 3 - z) for y, z in yz),
         ]
 
     # one LU per call, off the start state.  Each avoid state b has its own

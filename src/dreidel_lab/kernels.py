@@ -247,9 +247,13 @@ class ModChainSpec:
     def lam(self) -> int:
         return 2 * self.n + 3
 
+    def pot2(self, y: int, z: int) -> tuple[int, int, int]:
+        """(2, y mod Lambda, z): pot 2, P1 holding y, player z on turn."""
+        return (2, y % self.lam, z)
+
     @property
     def start(self) -> tuple[int, int, int]:
-        return (2, (self.n - 1) % self.lam, 1)
+        return self.pot2(self.n - 1, 1)
 
     def is_end_state(self, state: tuple[int, int, int]) -> bool:
         """Non-dreidel state: the y-residue read as a token count in

@@ -264,8 +264,6 @@ def moment_report(stats: PayoffStats) -> BoundReport:
     rep.check_ge("E(Y1^2) >= 1/4", stats.second_moment, 0.25, slack=3 * stats.se_second_moment)
     rep.check_le("|mean(Y1)| <= 5k", abs(stats.mean), 5 * k, slack=3 * stats.se_mean)
     rep.check_le("var(Y1) <= 41k^2", stats.variance, 41 * k * k, slack=3 * stats.se_variance)
-    rep.report_only("var identity residual",
-                    abs(stats.variance - (stats.second_moment - stats.mean**2)))
     return rep
 
 

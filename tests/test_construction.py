@@ -9,7 +9,7 @@ import pytest
 from dreidel_lab import construction as cx
 from dreidel_lab.epochs import new_custom
 from dreidel_lab.game import GameConfig, GameState, Spin, apply_spin, new_game
-from dreidel_lab.rng import GANZ, HALB, SHTEL, make_generator
+from dreidel_lab.rng import GANZ, HALB, NISHT, SHTEL, make_generator
 
 
 def overdraft_state(k, pot, stacks, turn=0):
@@ -109,6 +109,13 @@ class TestConstructLongGame:
         # the first copy's last epoch sends the last player home, 120 spins in
         with pytest.raises(cx.ConstructionError, match="went home early, at spin 120$"):
             cx.validate_constructed(start, 20, g.outcomes * 2, g.plan.t_s)
+
+    def test_validator_rejects_a_ruined_last_player(self):
+        # one epoch whose end leaves the last player below the window, at -1
+        start = new_game(GameConfig(k=2, n=3, overdraft=True))
+        outcomes = [NISHT, SHTEL, GANZ, SHTEL, GANZ, GANZ]
+        with pytest.raises(cx.ConstructionError, match="last player did not win"):
+            cx.validate_constructed(start, 3, outcomes, 1)
 
 
 def brute_force_low_epoch(k, s, t_s, n):

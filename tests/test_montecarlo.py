@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dreidel_lab import game, montecarlo as mc
 from dreidel_lab.epochs import new_custom, run_epoch, is_landslide
-from dreidel_lab.game import GameConfig, SpinCapExceeded, play_game
+from dreidel_lab.game import GameConfig, SpinCapExceeded, apply_spin, new_game, play_game
 from dreidel_lab.rng import make_generator
 
 
@@ -155,6 +155,37 @@ def test_spin_batch_conserves_tokens(k, n, m, seed):
         assert not np.any(batch.alive & ~before)  # the dead stay dead
         assert np.all(batch.live == batch.alive.sum(axis=0))
         batch.keep(batch.live > 1)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_spin_batch_matches_apply_spin_game_by_game(k):
+    # every outcome a batch returns, replayed through the scalar engine,
+    # gives the batch's own games, also where a seat sat some games out
+    n, m = 3, 40
+    mixed = 0
+    for seed in range(5):
+        batch = mc.SpinBatch(k, m, n - 1, overdraft=False)
+        states = [new_game(GameConfig(k=k, n=n))] * m
+        rng = make_generator(seed)
+        while states:
+            seat = batch.seat
+            o = batch.step(rng)
+            mixed += bool(np.any(o == -1) and np.any(o != -1))
+            for j, code in enumerate(o.tolist()):
+                if code == -1:
+                    assert not states[j].alive[seat]
+                else:
+                    assert states[j].turn == seat
+                    states[j], _ = apply_spin(states[j], code)
+                alive = np.array(states[j].alive)
+                assert batch.pot[j] == states[j].pot
+                assert np.array_equal(batch.alive[:, j], alive)
+                held = batch.stacks[:, j] - batch.antes[j]
+                assert np.array_equal(held[alive], np.array(states[j].stacks)[alive])
+            rows = batch.live > 1
+            states = [s for s, r in zip(states, rows) if r]
+            batch.keep(rows)
+    assert mixed > 0  # steps where the seat spun in some games and sat out others
 
 
 class TestGanzWait:

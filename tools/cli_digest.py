@@ -9,11 +9,13 @@ Prints one tab-separated line per output file: the command, its exit
 code (or the type of the exception it raised), the file (stdout, stderr,
 or a file the command wrote) and the file's sha256.
 
-    python3 tools/cli_digest.py > digest.txt
+    python3 tools/cli_digest.py | diff tools/cli_digest.txt -
 
-Run it in two checkouts and diff the outputs: an empty diff means the
-change kept every CLI byte and exit code.  It uses the package under
-this checkout's `src/`, and takes about 7 s on a 2-core Xeon.
+compares this checkout with the committed digest `tools/cli_digest.txt`:
+an empty diff means the change kept every CLI byte and exit code.  A
+change that moves bytes on purpose regenerates that file and lists the
+lines that changed in CHANGES.md.  It uses the package under this checkout's `src/`,
+and takes about 7 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
