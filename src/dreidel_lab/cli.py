@@ -96,10 +96,7 @@ def cmd_simulate(args) -> int:
 def cmd_epochs(args) -> int:
     stats = montecarlo.payoff_sample(args.k, args.epochs, args.seed)
     report = montecarlo.moment_report(stats)
-    for e in montecarlo.tail_report(stats).entries:
-        report.entries.append(e)
-    for e in montecarlo.landslide_report(stats).entries:
-        report.entries.append(e)
+    report.entries += montecarlo.tail_report(stats).entries + montecarlo.landslide_report(stats).entries
     extra = [
         ["epochs", "", stats.count, "", "report"],
         ["mean(Y1)", "", stats.mean, "", "report"],

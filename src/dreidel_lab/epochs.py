@@ -53,17 +53,14 @@ def run_epoch(state: GameState, rng) -> tuple[EpochRecord, GameState]:
     start_stacks = state.stacks
     outcomes: list[Spin] = []
     while True:
-        round_closed_epoch = False
-        for j in range(k):
-            outcome = SPIN_BY_CODE[int(rng.integers(0, 4))]
-            outcomes.append(outcome)
-            state, _ = apply_spin(state, outcome)
-            if j == k - 1 and outcome is Spin.GANZ:
-                round_closed_epoch = True
-        if round_closed_epoch:
-            break
-        if len(outcomes) >= game.SPIN_CAP:
-            raise GameError(f"epoch exceeded {game.SPIN_CAP} spins")
+        outcome = SPIN_BY_CODE[int(rng.integers(0, 4))]
+        outcomes.append(outcome)
+        state, _ = apply_spin(state, outcome)
+        if len(outcomes) % k == 0:  # the last seat has just spun: a round is over
+            if outcome is Spin.GANZ:
+                break
+            if len(outcomes) >= game.SPIN_CAP:
+                raise GameError(f"epoch exceeded {game.SPIN_CAP} spins")
     record = EpochRecord(
         spins_in_epoch=len(outcomes),
         payoff=tuple(e - s for e, s in zip(state.stacks, start_stacks)),

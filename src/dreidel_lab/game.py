@@ -322,7 +322,9 @@ def apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameState, list[S
 class SpinBatch:
     """m dreidel games spun in lockstep: the array form of `apply_spin`.
 
-    Player i of game j holds stacks[i, j] - antes[j] tokens.  Stacks are
+    Player i of game j holds stacks[i, j] - antes[j] tokens, and
+    games[j] is the game's number in the batch as first built, so that
+    results can be written by game after `keep` drops some.  Stacks are
     stored net of the antes every live player has paid, so an ante costs
     one counter per game.  Seats take turns on one clock shared by all
     games, and a seat that is out of a game skips its turn there without
@@ -340,6 +342,7 @@ class SpinBatch:
         self.antes = np.zeros(m, dtype=np.int64)
         self.alive = np.ones((k, m), dtype=bool)
         self.live = np.full(m, k, dtype=np.int64)  # players left per game
+        self.games = np.arange(m)
 
     def step(self, rng) -> np.ndarray:
         """One spin by the seat on turn in every game it is still in.
@@ -385,6 +388,7 @@ class SpinBatch:
         self.antes = self.antes[rows]
         self.alive = self.alive[:, rows]
         self.live = self.live[rows]
+        self.games = self.games[rows]
 
 
 def spin_each_outcome(k: int, pot, stacks, overdraft: bool) -> list[SpinBatch]:

@@ -138,6 +138,15 @@ def _reachable_kernel(coords: tuple[np.ndarray, ...], succ: np.ndarray, start: i
     to succ[o, c] under outcome o; the codes past the grid, in order, are
     the absorbing states `labels`.  States are the labels, then the grid
     points in depth-first discovery order from the start.
+
+    The game chain and its fold reach every point with pot >= 1, stack
+    >= 0 and pot + stack <= 2n (the tests pin the counts), so the search
+    is kept for its order, not for what it reaches: that order is the
+    input order of `RestrictedLU`'s reverse Cuthill-McKee ordering, and
+    other numberings of the same states move the fill either way.  On the
+    fold, L + U holds 1.77M nonzeros at n = 60 and 6.45M at n = 100 in
+    this order, 1.61M and 8.98M with the points numbered stack-major, and
+    2.57M and 17.9M pot-major.
     """
     size, first = coords[0].size, len(labels)
     order = [-1] * size + list(range(first))  # kernel index of each code

@@ -53,9 +53,8 @@ def _run_epochs(k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray
     lengths = np.zeros(m, dtype=np.int64)
     landslide = np.zeros(m, dtype=bool)
     first_shtels = np.ones(m, dtype=bool)
-    active = np.arange(m)
     spins = 0
-    while active.size:
+    while batch.games.size:
         o = batch.step(rng)
         spins += 1
         if spins < k:
@@ -63,12 +62,11 @@ def _run_epochs(k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray
         if batch.seat:
             continue
         done = o == GANZ  # the last seat has just spun
-        idx = active[done]
+        idx = batch.games[done]
         y[idx] = batch.stacks[k - 1, done] - batch.antes[done]
         lengths[idx] = spins
         if spins == k:
             landslide[idx] = first_shtels[done]
-        active = active[~done]
         batch.keep(~done)
     return y, lengths, landslide
 
@@ -184,15 +182,13 @@ def _duration_chunk(args) -> np.ndarray:
     batch = SpinBatch(config.k, m, config.n - 1, overdraft=False)
     out = np.zeros(m, dtype=np.int64)
     spins = np.zeros(m, dtype=np.int64)
-    active = np.arange(m)
-    while active.size:
+    while batch.games.size:
         if spins.max() >= game.SPIN_CAP:
             raise SpinCapExceeded(f"game exceeded {game.SPIN_CAP} spins")
         spins += batch.step(rng) >= 0
         done = batch.live <= 1
         if done.any():
-            out[active[done]] = spins[done]
-            active = active[~done]
+            out[batch.games[done]] = spins[done]
             spins = spins[~done]
             batch.keep(~done)
     return out
@@ -282,18 +278,13 @@ def tail_report(stats: PayoffStats) -> BoundReport:
     """Epoch-length and |Y1| tails against the (3/4)-geometric bounds."""
     k = stats.k
     rep = BoundReport(f"tail bounds, k={k}")
-    for q in range(0, TAIL_Q_MAX + 1):
-        p_hat = stats.tail_ge(k * q + 1, stats.length_hist)
-        bound = 0.75**q
+    u_max = max((len(stats.abs_y_hist) - 2) // k, 1)
+    rows = [(f"P(len >= {k}q+1), q={q}", stats.length_hist, k * q + 1, 0.75**q) for q in range(TAIL_Q_MAX + 1)]
+    rows += [(f"P(|Y1| >= {k * u + 1})", stats.abs_y_hist, k * u + 1, 0.75 ** (u - 1)) for u in range(1, u_max + 1)]
+    for name, hist, threshold, bound in rows:
+        p_hat = stats.tail_ge(threshold, hist)
         se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / stats.count)
-        rep.check_le(f"P(len >= {k}q+1), q={q}", p_hat, bound, slack=3 * se)
-    u_max = (len(stats.abs_y_hist) - 2) // k
-    for u in range(1, max(u_max, 1) + 1):
-        t = k * u + 1
-        p_hat = stats.tail_ge(t, stats.abs_y_hist)
-        bound = 0.75 ** (u - 1)
-        se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / stats.count)
-        rep.check_le(f"P(|Y1| >= {t})", p_hat, bound, slack=3 * se)
+        rep.check_le(name, p_hat, bound, slack=3 * se)
     return rep
 
 
@@ -332,10 +323,8 @@ def wald_report(sample: StoppingSample, stats: PayoffStats) -> BoundReport:
 
     # E(|S_T|) <= kn + k sum_{q>=n} (3/4)^q
     k, n = sample.k, sample.n
-    abs_s = np.abs(s)
-    bound = k * n + 4 * k * 0.75**n
-    se_abs = float(abs_s.std(ddof=1)) / math.sqrt(r)
-    rep.check_le("E(|S_T|) <= kn + tail", float(abs_s.mean()), bound, slack=3 * se_abs)
+    mean_abs, se_abs, _ = _estimate(np.abs(s))
+    rep.check_le("E(|S_T|) <= kn + tail", mean_abs, k * n + 4 * k * 0.75**n, slack=3 * se_abs)
     return rep
 
 

@@ -26,26 +26,21 @@ class BoundReport:
     title: str
     entries: list[BoundEntry] = field(default_factory=list)
 
-    def check_ge(self, name: str, measured: float, bound: float, slack: float = 0.0) -> BoundEntry:
-        """Record a lower-bound check: measured >= bound - slack."""
-        margin = measured - bound
-        verdict = "pass" if measured >= bound - slack else "fail"
+    def _add(self, name: str, bound: float | None, measured: float, margin: float, verdict: str) -> BoundEntry:
         entry = BoundEntry(name, bound, measured, margin, verdict)
         self.entries.append(entry)
         return entry
+
+    def check_ge(self, name: str, measured: float, bound: float, slack: float = 0.0) -> BoundEntry:
+        """Record a lower-bound check: measured >= bound - slack."""
+        return self._add(name, bound, measured, measured - bound, "pass" if measured >= bound - slack else "fail")
 
     def check_le(self, name: str, measured: float, bound: float, slack: float = 0.0) -> BoundEntry:
         """Record an upper-bound check: measured <= bound + slack."""
-        margin = bound - measured
-        verdict = "pass" if measured <= bound + slack else "fail"
-        entry = BoundEntry(name, bound, measured, margin, verdict)
-        self.entries.append(entry)
-        return entry
+        return self._add(name, bound, measured, bound - measured, "pass" if measured <= bound + slack else "fail")
 
     def report_only(self, name: str, measured: float) -> BoundEntry:
-        entry = BoundEntry(name, None, measured, float("nan"), "report")
-        self.entries.append(entry)
-        return entry
+        return self._add(name, None, measured, float("nan"), "report")
 
     @property
     def ok(self) -> bool:

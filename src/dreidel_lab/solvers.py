@@ -181,7 +181,7 @@ class AbsorptionResult:
 
     @property
     def expected_time(self) -> float:
-        return float(self.times[self._ti[self.kernel.index[self.start]]])
+        return self.expected_time_from(self.start)
 
     def expected_time_from(self, state) -> float:
         return float(self.times[self._ti[self.kernel.index[state]]])

@@ -1,5 +1,6 @@
 """CLI: exit codes, output headers, byte-level reproducibility."""
 
+import difflib
 import json
 import os
 import subprocess
@@ -392,6 +393,16 @@ class TestReproducibility:
             assert main(["gamelets", "--k", "2", "--p", "1", "--table", str(tmp_path / name)]) == 0
             outs.append((capsys.readouterr().out, (tmp_path / name).read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_readme_commands_match_the_committed_digest(self):
+        # the cross-commit byte gate: `tools/cli_digest.py` hashes every README
+        # command's outputs and exit code (one line starts two worker processes)
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "tools/cli_digest.py"], cwd=root, capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        got, want = proc.stdout.splitlines(), (root / "tools" / "cli_digest.txt").read_text().splitlines()
+        assert got == want, "\n".join(difflib.unified_diff(want, got, "tools/cli_digest.txt", "this checkout", lineterm=""))
 
     def test_jobs_do_not_change_bytes(self, tmp_path, capsys):
         base = ["simulate", "--k", "2", "--n", "3", "--trials", "80000", "--seed", "1"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dreidel_lab import game
 from dreidel_lab.epochs import (
     EpochBoundaryError,
     at_epoch_boundary,
@@ -14,7 +15,7 @@ from dreidel_lab.epochs import (
     run_metaslowdel,
     window_side,
 )
-from dreidel_lab.game import GameConfig, Spin
+from dreidel_lab.game import GameConfig, GameError, Spin
 from dreidel_lab.rng import GANZ, NISHT, SHTEL, ScriptedSource, make_generator
 
 
@@ -65,6 +66,13 @@ class TestRunEpoch:
         # P1's Ganz is not P_k's round-final spin
         record, _ = run_epoch(overdraft_start(2, 4), ScriptedSource([GANZ, NISHT, NISHT, GANZ]))
         assert record.spins_in_epoch == 4
+
+    def test_spin_cap_is_checked_after_each_open_round(self, monkeypatch):
+        monkeypatch.setattr(game, "SPIN_CAP", 3)
+        source = ScriptedSource([NISHT] * 10)
+        with pytest.raises(GameError, match="epoch exceeded 3 spins"):
+            run_epoch(overdraft_start(2, 4), source)
+        assert source.remaining == 6  # two full rounds drawn: the cap is read after spins 2 and 4
 
     def test_requires_overdraft(self):
         with pytest.raises(EpochBoundaryError):

@@ -293,6 +293,7 @@ class TestRowsMatchScalarRules:
                     reached.add(t)
                     stack.append(t)
         assert set(live) == reached
+        assert len(live) == 2 * n * (2 * n + 1)  # every (pot >= 1, stack >= 0, pot + stack <= 2n), either turn
         assert kernel.successors(P_LOSS_1) == [] and kernel.absorbing.tolist() == [True, True] + [False] * len(live)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -312,6 +313,7 @@ class TestRowsMatchScalarRules:
         # the fold of the game chain's states, which are all reachable
         folded = {(x, y if z == 1 else 2 * n - x - y) for x, y, z in build_game_chain(n).states[2:]}
         assert set(live) == folded
+        assert len(live) == n * (2 * n + 1)
         assert kernel.successors(GAME_OVER) == [] and kernel.absorbing.tolist() == [True] + [False] * len(live)
 
     def test_pot_chain(self):

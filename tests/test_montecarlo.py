@@ -157,6 +157,21 @@ def test_spin_batch_conserves_tokens(k, n, m, seed):
         batch.keep(batch.live > 1)
 
 
+def test_spin_batch_keeps_game_numbers():
+    # games[j] stays the starting number of the game in column j as `keep`
+    # drops columns; each pot is marked with that number to follow the column
+    rng = np.random.default_rng(3)
+    batch = mc.SpinBatch(3, 50, 2, overdraft=False)
+    batch.pot[:] = np.arange(50)
+    survivors = np.arange(50)
+    for _ in range(6):
+        rows = rng.random(batch.games.size) < 0.7
+        batch.keep(rows)
+        survivors = survivors[rows]
+        assert batch.games.tolist() == survivors.tolist() == batch.pot.tolist()
+    assert 0 < survivors.size < 50
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_spin_batch_matches_apply_spin_game_by_game(k):
     # every outcome a batch returns, replayed through the scalar engine,
