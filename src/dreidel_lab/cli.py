@@ -87,9 +87,9 @@ def cmd_simulate(args) -> int:
         args,
         _runspec(args),
         ["k", "n", "trials", "mean", "se", "ci99_lo", "ci99_hi"],
-        [[est.k, est.n, est.trials, est.mean, est.se, est.ci99[0], est.ci99[1]]],
+        [[config.k, config.n, est.trials, est.mean, est.se, est.ci99[0], est.ci99[1]]],
     )
-    print(f"simulate k={est.k} n={est.n}: mean duration {est.mean:.4f} (se {est.se:.4f})")
+    print(f"simulate k={config.k} n={config.n}: mean duration {est.mean:.4f} (se {est.se:.4f})")
     return 0
 
 

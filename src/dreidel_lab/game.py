@@ -322,7 +322,7 @@ def apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameState, list[S
 class SpinBatch:
     """m dreidel games spun in lockstep: the array form of `apply_spin`.
 
-    Player i of game j holds stacks[i, j] - antes[j] tokens, and
+    Player i of game j holds stacks[i, j] - antes[j] tokens (`held`), and
     games[j] is the game's number in the batch as first built, so that
     results can be written by game after `keep` drops some.  Stacks are
     stored net of the antes every live player has paid, so an ante costs
@@ -390,28 +390,34 @@ class SpinBatch:
         self.live = self.live[rows]
         self.games = self.games[rows]
 
+    def held(self, seat=slice(None)) -> np.ndarray:
+        """The tokens `seat` holds in each game (every seat's, by default)."""
+        return self.stacks[seat] - self.antes
 
-def spin_each_outcome(k: int, pot, stacks, overdraft: bool) -> list[SpinBatch]:
+
+def spin_each_outcome(k: int, pot, stacks, overdraft: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Games with k players at every point (pot[j], stacks[:, j]), each
-    spun once by seat 0 under each forced outcome: one batch per outcome,
-    in code order."""
-    codes = ScriptedSource(np.repeat(OUTCOME_CODES, np.size(pot)).tolist())
-    batches = [SpinBatch(k, np.size(pot), 0, overdraft) for _ in OUTCOME_CODES]
-    for batch in batches:
-        batch.pot[:] = pot
-        batch.stacks[:] = stacks
-        batch.step(codes)
-    return batches
+    spun once by seat 0 under each forced outcome o, in code order, as one
+    batch.  Returns (pot, held, alive) after the spin, of shapes (4, m),
+    (4, k, m) and (4, k, m): held[o, i, j] is what player i holds."""
+    m = np.size(pot)
+    batch = SpinBatch(k, 4 * m, 0, overdraft)
+    batch.pot[:] = np.tile(pot, 4)
+    batch.stacks[:] = np.tile(np.broadcast_to(stacks, (k, m)), 4)
+    batch.step(ScriptedSource(np.repeat(OUTCOME_CODES, m).tolist()))
+    return (batch.pot.reshape(4, m), batch.held().reshape(k, 4, m).swapaxes(0, 1),
+            batch.alive.reshape(k, 4, m).swapaxes(0, 1))
 
 
 @cache
 def overdraft_spins(pot: int, k: int) -> tuple[tuple[int, int, int], ...]:
     """Every overdraft spin from `pot` with k players, indexed by outcome
     code: (pot after the spin, the spinner's gain, the ante everyone pays),
-    read off `spin_each_outcome` for one game.  Stacks are held net of
-    antes, so the spinner's stack is the gross gain."""
-    return tuple((int(b.pot[0]), int(b.stacks[0, 0]), int(b.antes[0]))
-                 for b in spin_each_outcome(k, pot, 0, overdraft=True))
+    read off `spin_each_outcome` for one game spun from empty stacks, where
+    seat 1 holds -ante and the spinner gain - ante."""
+    pots, held, _ = spin_each_outcome(k, pot, 0, overdraft=True)
+    spinner, seat1 = held[:, :2, 0].T.tolist()
+    return tuple((p, s - o, -o) for p, s, o in zip(pots[:, 0].tolist(), spinner, seat1))
 
 
 def play_game(config: GameConfig, seed_or_rng) -> Transcript:

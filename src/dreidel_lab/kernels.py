@@ -11,10 +11,10 @@ Four chains are built here:
     antes.
 
 Each kernel is one CSR matrix over its numbered states.  All four
-chains spin their whole state grid through `game.spin_each_outcome`,
-one batch of the array engine `game.SpinBatch` per forced outcome, with
-the spinner on seat 0; the tests check every row against the scalar
-engine `game.apply_spin`.
+chains spin their whole state grid once under each forced outcome
+through `game.spin_each_outcome`, one batch of the array engine
+`game.SpinBatch`, with the spinner on seat 0; the tests check every row
+against the scalar engine `game.apply_spin`.
 
 `diagnostics` takes the period from one compiled BFS and the stationary
 law from one sparse LU.
@@ -189,13 +189,12 @@ def build_game_chain(n: int) -> SparseKernel:
     p1 = z - 1  # P1's seat: the spinner sits on seat 0
     stacks = np.empty((2, x.size), dtype=np.int64)
     stacks[p1, cols], stacks[1 - p1, cols] = y, 2 * n - x - y
-    # grid points with x + y > 2n are never reached, so their codes are never read
-    succ = np.stack([  # NISHT, GANZ, HALB, SHTEL: this order fixes the discovery order
-        np.where(~b.alive[p1, cols], loss1,
-                 np.where(~b.alive[1 - p1, cols], loss2,
-                          ((b.pot - 1) * side + b.stacks[p1, cols] - b.antes) * 2 + (2 - z)))  # the turn passes
-        for b in spin_each_outcome(2, x, stacks, overdraft=False)
-    ])
+    pot, held, alive = spin_each_outcome(2, x, stacks, overdraft=False)
+    # grid points with x + y > 2n are never reached, so their codes are never read;
+    # the outcomes' code order NISHT, GANZ, HALB, SHTEL fixes the discovery order
+    succ = np.where(~alive[:, p1, cols], loss1,
+                    np.where(~alive[:, 1 - p1, cols], loss2,
+                             ((pot - 1) * side + held[:, p1, cols]) * 2 + (2 - z)))  # the turn passes
     return _reachable_kernel((x, y, z), succ, (side + n - 1) * 2, [P_LOSS_1, P_LOSS_2])  # from (2, n - 1, 1)
 
 
@@ -212,11 +211,10 @@ def build_duration_chain(n: int) -> SparseKernel:
         raise ValueError("n >= 1 required")
     side = 2 * n + 1
     x, a = (v.ravel() for v in np.meshgrid(np.arange(1, 2 * n + 1), np.arange(side), indexing="ij"))
-    # grid points with x + a > 2n are never reached, so their codes are never read
-    succ = np.stack([  # the successor's player on turn sits on seat 1
-        np.where(b.alive.all(axis=0), (b.pot - 1) * side + b.stacks[1] - b.antes, x.size)
-        for b in spin_each_outcome(2, x, np.stack([a, 2 * n - x - a]), overdraft=False)
-    ])
+    pot, held, alive = spin_each_outcome(2, x, np.stack([a, 2 * n - x - a]), overdraft=False)
+    # grid points with x + a > 2n are never reached, so their codes are never
+    # read; the successor's player on turn sits on seat 1
+    succ = np.where(alive.all(axis=1), (pot - 1) * side + held[:, 1], x.size)
     return _reachable_kernel((x, a), succ, side + n - 1, [GAME_OVER])  # from (2, n - 1)
 
 
@@ -230,7 +228,7 @@ def build_pot_chain(x_max: int) -> SparseKernel:
     if x_max < 4:
         raise ValueError("x_max >= 4 required")
     x = np.arange(1, x_max + 1)
-    succ = np.stack([np.minimum(b.pot, x_max) - 1 for b in spin_each_outcome(2, x, 0, overdraft=True)])
+    succ = np.minimum(spin_each_outcome(2, x, 0, overdraft=True)[0], x_max) - 1
     return _spin_kernel(x.tolist(), x - 1, succ, np.zeros(x_max, dtype=bool))
 
 
@@ -283,10 +281,8 @@ def build_mod_chain(spec: ModChainSpec) -> SparseKernel:
     seat = np.where((z == 1) | (spec.flavor == "formal"), 0, 1)
     stacks = np.zeros((2, x.size), dtype=np.int64)
     stacks[seat, cols] = y
-    succ = np.stack([
-        ((np.minimum(b.pot, cap) - 1) * lam + (b.stacks[seat, cols] - b.antes) % lam) * 2 + (2 - z)  # the turn passes
-        for b in spin_each_outcome(2, x, stacks, overdraft=True)
-    ])
+    pot, held, _ = spin_each_outcome(2, x, stacks, overdraft=True)
+    succ = ((np.minimum(pot, cap) - 1) * lam + held[:, seat, cols] % lam) * 2 + (2 - z)  # the turn passes
     states = list(zip(x.tolist(), y.tolist(), z.tolist()))
     return _spin_kernel(states, np.arange(x.size), succ, np.zeros(x.size, dtype=bool))
 

@@ -63,7 +63,7 @@ def _run_epochs(k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray
             continue
         done = o == GANZ  # the last seat has just spun
         idx = batch.games[done]
-        y[idx] = batch.stacks[k - 1, done] - batch.antes[done]
+        y[idx] = batch.held(k - 1)[done]
         lengths[idx] = spins
         if spins == k:
             landslide[idx] = first_shtels[done]
@@ -154,25 +154,19 @@ def payoff_sample(k: int, epochs: int, seed: int) -> PayoffStats:
 # duration estimation
 
 
-def _estimate(values: np.ndarray) -> tuple[float, float, tuple[float, float]]:
+@dataclass(frozen=True)
+class Estimate:
+    trials: int
+    mean: float
+    se: float  # NaN for one trial
+    ci99: tuple[float, float]
+
+
+def _estimate(values: np.ndarray) -> Estimate:
     """Mean, its standard error (NaN for one value) and the Z99 interval."""
     mean = float(values.mean())
     se = float(values.std(ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else float("nan")
-    return mean, se, (mean - Z99 * se, mean + Z99 * se)
-
-
-@dataclass(frozen=True)
-class DurationEstimate:
-    k: int
-    n: int
-    trials: int
-    mean: float
-    se: float
-    ci99: tuple[float, float]
-
-    @property
-    def se_defined(self) -> bool:
-        return self.trials > 1
+    return Estimate(len(values), mean, se, (mean - Z99 * se, mean + Z99 * se))
 
 
 def _duration_chunk(args) -> np.ndarray:
@@ -195,6 +189,8 @@ def _duration_chunk(args) -> np.ndarray:
 
 
 def sample_durations(config: GameConfig, trials: int, seed: int, jobs: int = 1) -> np.ndarray:
+    if config.overdraft:  # an overdraft game never ends
+        raise ValueError("sample_durations requires a non-overdraft config")
     chunks = [(config, rng, m) for rng, m in _chunks(seed, trials)]
     if jobs > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
@@ -204,11 +200,10 @@ def sample_durations(config: GameConfig, trials: int, seed: int, jobs: int = 1) 
     return np.concatenate(parts)
 
 
-def estimate_mean_duration(config: GameConfig, trials: int, seed: int, jobs: int = 1) -> DurationEstimate:
+def estimate_mean_duration(config: GameConfig, trials: int, seed: int, jobs: int = 1) -> Estimate:
     if trials < 1:
         raise ValueError("need at least one trial")
-    mean, se, ci = _estimate(sample_durations(config, trials, seed, jobs=jobs))
-    return DurationEstimate(k=config.k, n=config.n, trials=trials, mean=mean, se=se, ci99=ci)
+    return _estimate(sample_durations(config, trials, seed, jobs=jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +318,8 @@ def wald_report(sample: StoppingSample, stats: PayoffStats) -> BoundReport:
 
     # E(|S_T|) <= kn + k sum_{q>=n} (3/4)^q
     k, n = sample.k, sample.n
-    mean_abs, se_abs, _ = _estimate(np.abs(s))
-    rep.check_le("E(|S_T|) <= kn + tail", mean_abs, k * n + 4 * k * 0.75**n, slack=3 * se_abs)
+    est = _estimate(np.abs(s))
+    rep.check_le("E(|S_T|) <= kn + tail", est.mean, k * n + 4 * k * 0.75**n, slack=3 * est.se)
     return rep
 
 
@@ -333,11 +328,7 @@ def wald_report(sample: StoppingSample, stats: PayoffStats) -> BoundReport:
 
 
 @dataclass(frozen=True)
-class GanzWaitEstimate:
-    trials: int
-    mean: float
-    se: float
-    ci99: tuple[float, float]
+class GanzWaitEstimate(Estimate):
     counts: tuple[int, ...]  # histogram of waiting times, index = wait
 
 
@@ -348,9 +339,7 @@ def ganz_wait(trials: int, seed: int) -> GanzWaitEstimate:
     if trials < 1:
         raise ValueError("need at least one trial")
     waits = sample_epochs(2, trials, seed).lengths // 2
-    mean, se, ci = _estimate(waits)
-    return GanzWaitEstimate(trials=trials, mean=mean, se=se, ci99=ci,
-                            counts=tuple(int(c) for c in np.bincount(waits)))
+    return GanzWaitEstimate(**vars(_estimate(waits)), counts=tuple(int(c) for c in np.bincount(waits)))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ class RestrictedLU:
     about fourfold, while on the mod chains it adds some fill at about
     the same time.  `order[i]` is the unknown factored i-th.
 
-    Given `base`, a factorization off another boundary R of the same
+    Given `base`, a factored LU off another boundary R of the same
     kernel, nothing is factored: the system off this boundary B is solved
     through the base's LU by a Woodbury capacitance update (Hager,
     "Updating the inverse of a matrix", SIAM Review 31, 1989).  On the
@@ -65,6 +65,7 @@ class RestrictedLU:
     solves, and after that each solve is one base solve.  A pivot below
     RESIDUAL_TOL, where G(d, d) would exceed what the residual check can
     certify, marks a singular capacitance matrix and raises `SolverError`.
+    A base that is itself an update raises `ValueError`.
 
     Either way every solve is refined and residual-checked against this
     boundary's own restricted matrix `a`, in the original order, never
@@ -81,7 +82,7 @@ class RestrictedLU:
         self.unknown = np.flatnonzero(self._inner)
         self._out = kernel.csr[self.unknown]  # rows leaving the unknown states
         self.a = sp.identity(self.unknown.size, format="csr") - self._out[:, self.unknown]
-        self._base = base
+        self._steps = []  # (row d of P, signed, and M^-1 e_d / pivot) per flipped row
         if base is None:
             self.order = reverse_cuthill_mckee(self.a, symmetric_mode=False)
             try:
@@ -91,13 +92,15 @@ class RestrictedLU:
             return
         if base.kernel is not kernel:
             raise ValueError("the base factorization is of another kernel")
+        if not hasattr(base, "lu"):
+            raise ValueError("the base factorization is itself an update")
+        self._lift = base._lift  # lift through the base's LU
         flip = np.flatnonzero(self._inner != base._inner)  # B delta R
-        self._steps = []  # (row d of P, signed, and M^-1 e_d / pivot) per flipped row
         for d in flip[np.argsort(self._inner[flip], kind="stable")]:  # joining states first
             w = -kernel.csr[d] if self._inner[d] else kernel.csr[d]
             e = np.zeros(kernel.n_states)
             e[d] = 1.0
-            z = self._update(base._lift(e))
+            z = self._update(self._lift(e))
             pivot = 1.0 + (w @ z).item()
             if not pivot > RESIDUAL_TOL:
                 raise SolverError(f"I - P off the boundary {_describe(self.boundary)}: singular capacitance "
@@ -105,14 +108,12 @@ class RestrictedLU:
             self._steps.append((w, z / pivot))
 
     def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """One unrefined solve: through this LU, or updated from the base's."""
-        if self._base is None:
-            x = np.empty(rhs.size)
-            x[self.order] = self.lu.solve(rhs[self.order])
-            return x
+        """One unrefined solve: rhs embedded in the whole state space,
+        lifted through the factored LU and updated by this system's
+        rank-one steps, of which a factored LU has none."""
         v = np.zeros(self.kernel.n_states)
         v[self.unknown] = rhs
-        return self._update(self._base._lift(v))[self.unknown]
+        return self._update(self._lift(v))[self.unknown]
 
     def _update(self, y: np.ndarray) -> np.ndarray:
         """M_B^-1 M_R y, from the rank-one steps made so far."""
@@ -122,9 +123,11 @@ class RestrictedLU:
 
     def _lift(self, v: np.ndarray) -> np.ndarray:
         """M^-1 v on the whole state space, M being I - P with the boundary
-        rows replaced by identity rows: v itself on the boundary."""
+        rows replaced by identity rows (v itself on the boundary), through
+        this LU.  An update holds its base's `_lift` in place of this one."""
         x = v.copy()
-        x[self.unknown] = self._raw_solve(v[self.unknown] + self._out @ np.where(self._inner, 0.0, v))
+        b = v[self.unknown] + self._out @ np.where(self._inner, 0.0, v)
+        x[self.unknown[self.order]] = self.lu.solve(b[self.order])
         return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -333,12 +336,8 @@ class HitSolver:
         self.values = RestrictedLU(kernel, target | avoid).harmonic(target)
 
     def prob(self, start, first_step_exempt: bool = False) -> float:
-        if start in self.target:
-            return 1.0
         if first_step_exempt:
             return next_step_mean(self.kernel, start, self.values)
-        if start in self.avoid:
-            return 0.0
         return float(self.values[self.kernel.index[start]])
 
 

@@ -22,6 +22,7 @@ from dreidel_lab.game import (
     new_game,
     overdraft_spins,
     play_game,
+    spin_each_outcome,
 )
 from dreidel_lab.rng import ScriptedSource, make_generator
 
@@ -156,6 +157,26 @@ class TestOverdraftSpins:
                 after, _ = apply_spin(before, outcome)
                 assert after.pot == pot2
                 assert after.stacks == tuple(3 - ante_paid + gain * (p == 1) for p in range(k))
+
+
+class TestSpinEachOutcome:
+    @pytest.mark.parametrize("overdraft", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_apply_spin(self, k, overdraft):
+        # every (pot, stacks) with pot 1..4 and stacks 0..2, broke seats included
+        grid = np.stack(np.meshgrid(np.arange(1, 5), *[np.arange(3)] * k, indexing="ij")).reshape(k + 1, -1)
+        pot, held, alive = spin_each_outcome(k, grid[0], grid[1:], overdraft)
+        m = grid.shape[1]
+        assert pot.shape == (4, m) and held.shape == alive.shape == (4, k, m)
+        for j in range(m):
+            before = state(k, 3, int(grid[0, j]), grid[1:, j].tolist(), overdraft=overdraft)
+            for o in Spin:
+                after, _ = apply_spin(before, o)
+                live = np.array(after.alive)
+                assert pot[o, j] == after.pot
+                assert alive[o, :, j].tolist() == list(after.alive)
+                assert held[o, live, j].tolist() == np.array(after.stacks)[live].tolist()
+        assert alive.all() == overdraft  # seats go out on this grid, but only without overdraft
 
 
 class TestScriptedSource:

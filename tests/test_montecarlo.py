@@ -122,7 +122,14 @@ class TestDurations:
     def test_single_trial(self):
         est = mc.estimate_mean_duration(GameConfig(k=2, n=2), 1, seed=0)
         assert est.mean == float(int(est.mean))
-        assert not est.se_defined and math.isnan(est.se)
+        assert est.trials == 1 and math.isnan(est.se)
+
+    def test_overdraft_config_rejected(self):
+        # nobody is ever out of an overdraft game, so it has no duration
+        cfg = GameConfig(k=2, n=3, overdraft=True)
+        for sample in (mc.sample_durations, mc.estimate_mean_duration):
+            with pytest.raises(ValueError, match="requires a non-overdraft config"):
+                sample(cfg, 5, seed=1)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
@@ -149,7 +156,7 @@ def test_spin_batch_conserves_tokens(k, n, m, seed):
     while batch.pot.size:
         before = batch.alive.copy()
         batch.step(rng)
-        held = np.where(batch.alive, batch.stacks - batch.antes, 0)
+        held = np.where(batch.alive, batch.held(), 0)
         assert np.all(batch.pot + held.sum(axis=0) == k * n)
         assert np.all(held >= 0)
         assert not np.any(batch.alive & ~before)  # the dead stay dead
@@ -195,7 +202,7 @@ def test_spin_batch_matches_apply_spin_game_by_game(k):
                 alive = np.array(states[j].alive)
                 assert batch.pot[j] == states[j].pot
                 assert np.array_equal(batch.alive[:, j], alive)
-                held = batch.stacks[:, j] - batch.antes[j]
+                held = batch.held()[:, j]
                 assert np.array_equal(held[alive], np.array(states[j].stacks)[alive])
             rows = batch.live > 1
             states = [s for s, r in zip(states, rows) if r]

@@ -185,6 +185,13 @@ class TestHitProb:
         kernel = walk_kernel(6, absorbing_ends=False)
         assert HitSolver(kernel, frozenset({3}), frozenset({0})).prob(3) == 1.0
 
+    def test_first_step_exempt_from_the_target(self):
+        # membership at time 0 is ignored on the target too: from 3 the walk
+        # steps to 2 (then 2/3) or to 4 (then 1, since 0 lies beyond 3)
+        kernel = walk_kernel(6, absorbing_ends=False)
+        p = HitSolver(kernel, frozenset({3}), frozenset({0})).prob(3, first_step_exempt=True)
+        assert abs(p - 5 / 6) < 1e-12
+
     def test_start_in_avoid(self):
         kernel = walk_kernel(6, absorbing_ends=False)
         assert HitSolver(kernel, frozenset({6}), frozenset({0})).prob(0) == 0.0
@@ -349,6 +356,17 @@ class TestLowRankUpdate:
         base = RestrictedLU(kernel, {"a", "c"})
         with pytest.raises(SolverError, match=r"boundary \{a, b\}: singular capacitance"):
             RestrictedLU(kernel, {"a", "b"}, base=base)
+
+    def test_base_of_another_kernel_rejected(self):
+        base = RestrictedLU(walk_kernel(9, p=0.3, absorbing_ends=False), {0, 9})
+        with pytest.raises(ValueError, match="another kernel"):
+            RestrictedLU(walk_kernel(9, p=0.3, absorbing_ends=False), {0, 9}, base=base)
+
+    def test_base_that_is_an_update_rejected(self):
+        kernel = walk_kernel(9, p=0.3, absorbing_ends=False)
+        update = RestrictedLU(kernel, {0, 5}, base=RestrictedLU(kernel, {0, 9}))
+        with pytest.raises(ValueError, match="itself an update"):
+            RestrictedLU(kernel, {0, 7}, base=update)
 
     def test_base_boundary_itself_is_the_base(self):
         kernel = walk_kernel(9, p=0.3, absorbing_ends=False)
