@@ -6,8 +6,9 @@ fired.  It plays single games and is the oracle the tests check the
 array engine against.  The array engine, `SpinBatch`, spins many games
 in lockstep.  The Monte Carlo samplers run on it, and so do the Markov
 kernels and `overdraft_spins`, through `spin_each_outcome`, which spins
-a grid of games once under each forced outcome.  Token conservation
-(pot + sum of stacks = k * n) holds after every spin in both modes.
+a grid of games once under each forced outcome.  Tokens are conserved:
+pot + sum of stacks keeps its starting value through every spin, in
+both modes.
 """
 
 from __future__ import annotations
@@ -116,9 +117,6 @@ class GameState:
         if self.num_alive == 1:
             return self.alive.index(True)
         return None
-
-    def check_conservation(self) -> bool:
-        return self.pot + sum(self.stacks) == self.config.k * self.config.n
 
 
 @dataclass(frozen=True)
@@ -319,6 +317,13 @@ def apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameState, list[S
     return GameState(cfg, pot, tuple(stacks), turn, tuple(alive), state.spin_index + 1), events
 
 
+# The spinner takes pot >> _TAKE_SHIFT[code], by code N, G, H, S: nothing
+# on a Nisht or a Shtel (the pot is never negative, so a shift by 63 gives
+# 0), all on a Ganz, the floor half on a Halb.  Code -1, a seat that sits
+# out, reads the Shtel entry and takes nothing.
+_TAKE_SHIFT = np.array([63, 0, 1, 63], dtype=np.int64)
+
+
 class SpinBatch:
     """m dreidel games spun in lockstep: the array form of `apply_spin`.
 
@@ -358,37 +363,41 @@ class SpinBatch:
         if o.size < on.size:  # the seat is out of some games and sits out there
             drawn, o = o, np.full(on.size, -1, dtype=o.dtype)
             o[on] = drawn
-        g = o == GANZ
         s = o == SHTEL
-        take = (o == HALB) * (self.pot >> 1) + g * self.pot
+        gain = self.pot >> _TAKE_SHIFT.take(o)  # the take; a paid Shtel is -1
         if not self.overdraft:
             broke = s & (self.stacks[seat] == self.antes)
             if broke.any():  # the spinner cannot pay: out, pot unchanged
                 s ^= broke
                 self.alive[seat, broke] = False
                 self.live -= broke
-        self.stacks[seat] += take - s
-        self.pot += s - take
+        gain -= s
+        self.stacks[seat] += gain
+        self.pot -= gain
+        g = o == GANZ
         if self.overdraft:  # a Ganz empties the pot and all k players ante
             self.pot += self.k * g
             self.antes += g
             return o
         gi = np.flatnonzero(g)
         if gi.size:  # ante after a Ganz: players on zero are out
-            pays = self.alive[:, gi] & (self.stacks[:, gi] > self.antes[gi])
+            pays = self.alive.take(gi, axis=1) & (self.stacks.take(gi, axis=1) > self.antes.take(gi))
             self.alive[:, gi] = pays
             self.antes[gi] += 1
             self.pot[gi] = self.live[gi] = pays.sum(axis=0)
         return o
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop the games where `rows` is False."""
-        self.pot = self.pot[rows]
-        self.stacks = self.stacks[:, rows]
-        self.antes = self.antes[rows]
-        self.alive = self.alive[:, rows]
-        self.live = self.live[rows]
-        self.games = self.games[rows]
+    def keep(self, rows: np.ndarray) -> np.ndarray:
+        """Drop the games where `rows` is False.  Returns the columns kept,
+        for the caller to compact its own per-game arrays with `take`."""
+        cols = np.flatnonzero(rows)
+        self.pot = self.pot.take(cols)
+        self.stacks = self.stacks.take(cols, axis=1)
+        self.antes = self.antes.take(cols)
+        self.alive = self.alive.take(cols, axis=1)
+        self.live = self.live.take(cols)
+        self.games = self.games.take(cols)
+        return cols
 
     def held(self, seat=slice(None)) -> np.ndarray:
         """The tokens `seat` holds in each game (every seat's, by default)."""

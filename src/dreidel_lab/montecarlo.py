@@ -62,11 +62,12 @@ def _run_epochs(k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray
         if batch.seat:
             continue
         done = o == GANZ  # the last seat has just spun
-        idx = batch.games[done]
-        y[idx] = batch.held(k - 1)[done]
+        ended = np.flatnonzero(done)
+        idx = batch.games.take(ended)
+        y[idx] = batch.held(k - 1).take(ended)
         lengths[idx] = spins
         if spins == k:
-            landslide[idx] = first_shtels[done]
+            landslide[idx] = first_shtels.take(ended)
         batch.keep(~done)
     return y, lengths, landslide
 
@@ -176,21 +177,25 @@ def _duration_chunk(args) -> np.ndarray:
     batch = SpinBatch(config.k, m, config.n - 1, overdraft=False)
     out = np.zeros(m, dtype=np.int64)
     spins = np.zeros(m, dtype=np.int64)
+    steps = 0
     while batch.games.size:
-        if spins.max() >= game.SPIN_CAP:
+        # no game has spun more often than the batch has stepped
+        if steps >= game.SPIN_CAP and spins.max() >= game.SPIN_CAP:
             raise SpinCapExceeded(f"game exceeded {game.SPIN_CAP} spins")
         spins += batch.step(rng) >= 0
+        steps += 1
         done = batch.live <= 1
         if done.any():
             out[batch.games[done]] = spins[done]
-            spins = spins[~done]
-            batch.keep(~done)
+            spins = spins.take(batch.keep(~done))
     return out
 
 
 def sample_durations(config: GameConfig, trials: int, seed: int, jobs: int = 1) -> np.ndarray:
     if config.overdraft:  # an overdraft game never ends
         raise ValueError("sample_durations requires a non-overdraft config")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got trials={trials}")
     chunks = [(config, rng, m) for rng, m in _chunks(seed, trials)]
     if jobs > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
@@ -201,8 +206,6 @@ def sample_durations(config: GameConfig, trials: int, seed: int, jobs: int = 1) 
 
 
 def estimate_mean_duration(config: GameConfig, trials: int, seed: int, jobs: int = 1) -> Estimate:
-    if trials < 1:
-        raise ValueError("need at least one trial")
     return _estimate(sample_durations(config, trials, seed, jobs=jobs))
 
 

@@ -47,6 +47,7 @@ class TestExitCodes:
             (["epochs", "--k", "1", "--epochs", "10"], "k"),
             (["wald", "--records", "0", "--epochs", "100"], "runs"),
             (["wald", "--records", "1", "--epochs", "100"], "runs"),
+            (["simulate", "--n", "3", "--trials", "0"], "trials"),
         ],
     )
     def test_bad_sampler_input_is_usage_error(self, tmp_path, capsys, args, name):

@@ -19,6 +19,7 @@ from dreidel_lab.game import (
     ante,
     apply_spin,
     halb_split,
+    new_custom,
     new_game,
     overdraft_spins,
     play_game,
@@ -51,7 +52,11 @@ class TestNewGame:
     def test_conservation(self):
         s = new_game(GameConfig(k=3, n=10))
         assert s.pot + sum(s.stacks) == 30
-        assert s.check_conservation()
+        # a metadreidel start keeps its own total, not k * n
+        s = new_custom([5, 3], GameConfig(k=2, n=3))
+        for o in (Spin.SHTEL, Spin.HALB, Spin.SHTEL, Spin.GANZ, Spin.NISHT):
+            s, _ = apply_spin(s, o)
+            assert s.pot + sum(s.stacks) == 8
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -248,11 +253,12 @@ def test_conservation_and_monotone_alive(k, n, seed):
     """Token conservation and no-resurrection along random games."""
     cfg = GameConfig(k=k, n=n)
     state = new_game(cfg)
+    total = state.pot + sum(state.stacks)
     rng = make_generator(seed)
     prev_alive = state.alive
     while not state.terminated and state.spin_index < 5000:
         state, _ = apply_spin(state, Spin(int(rng.integers(0, 4))))
-        assert state.check_conservation()
+        assert state.pot + sum(state.stacks) == total
         assert all(b or not a for a, b in zip(state.alive, prev_alive))
         assert all(s >= 0 for s in state.stacks)
         assert state.pot >= 1  # pot emptiness never survives a spin

@@ -1,5 +1,6 @@
 """Monte Carlo estimators cross-checked against the scalar rules engine."""
 
+import copy
 import math
 
 import numpy as np
@@ -90,9 +91,21 @@ class TestDurations:
                 ).duration
 
     def test_spin_cap(self, monkeypatch):
-        monkeypatch.setattr(game, "SPIN_CAP", 5)
-        with pytest.raises(SpinCapExceeded):
-            mc.sample_durations(GameConfig(k=3, n=6), 100, seed=0)
+        # k = 2 spins every game at every step; at k = 3 seats sit out too
+        for k in (2, 3):
+            monkeypatch.setattr(game, "SPIN_CAP", 5)
+            with pytest.raises(SpinCapExceeded):
+                mc.sample_durations(GameConfig(k=k, n=6), 100, seed=0)
+            monkeypatch.undo()
+            # the cap fires before a game's spin SPIN_CAP + 1 and not earlier:
+            # a cap at the longest game's length passes, one spin less does not
+            cfg = GameConfig(k=k, n=4)
+            longest = int(mc.sample_durations(cfg, 300, seed=0).max())
+            monkeypatch.setattr(game, "SPIN_CAP", longest)
+            mc.sample_durations(cfg, 300, seed=0)
+            monkeypatch.setattr(game, "SPIN_CAP", longest - 1)
+            with pytest.raises(SpinCapExceeded):
+                mc.sample_durations(cfg, 300, seed=0)
 
     def test_jobs_capped_at_chunk_count(self, monkeypatch):
         class SerialPool:
@@ -132,8 +145,10 @@ class TestDurations:
                 sample(cfg, 5, seed=1)
 
     def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            mc.estimate_mean_duration(GameConfig(k=2, n=2), 0, seed=0)
+        for sample in (mc.sample_durations, mc.estimate_mean_duration):
+            for trials in (0, -1):
+                with pytest.raises(ValueError, match="trials must be at least 1"):
+                    sample(GameConfig(k=2, n=2), trials, seed=0)
 
     def test_se_shrinks_with_trials(self):
         cfg = GameConfig(k=2, n=4)
@@ -177,6 +192,43 @@ def test_spin_batch_keeps_game_numbers():
         survivors = survivors[rows]
         assert batch.games.tolist() == survivors.tolist() == batch.pot.tolist()
     assert 0 < survivors.size < 50
+
+
+def keep_by_mask(batch, rows):
+    """`SpinBatch.keep` as first written: each array indexed by the mask."""
+    batch.pot = batch.pot[rows]
+    batch.stacks = batch.stacks[:, rows]
+    batch.antes = batch.antes[rows]
+    batch.alive = batch.alive[:, rows]
+    batch.live = batch.live[rows]
+    batch.games = batch.games[rows]
+
+
+@pytest.mark.parametrize("overdraft", [False, True])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_spin_batch_keep_matches_mask_indexing(k, overdraft):
+    # `keep` compacts every array as the mask does, and the kept batch
+    # spins on exactly as the mask-indexed one
+    m = 64
+    pick = np.random.default_rng(k)
+    masks = [np.ones(m, bool), np.zeros(m, bool), np.arange(m) == 17, pick.random(m) < 0.6]
+    for rows in masks:
+        batch = mc.SpinBatch(k, m, 2, overdraft)
+        rng = make_generator(k, int(overdraft))
+        for _ in range(3 * k):  # so that stacks, antes and seats differ by game
+            batch.step(rng)
+        oracle = copy.deepcopy(batch)
+        keep_by_mask(oracle, rows)
+        assert batch.keep(rows).tolist() == np.flatnonzero(rows).tolist()
+        for _ in range(2):
+            for name in ("pot", "stacks", "antes", "alive", "live", "games"):
+                got, want = getattr(batch, name), getattr(oracle, name)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert np.array_equal(got, want), name
+            if not rows.any():
+                break
+            state = copy.deepcopy(rng)
+            assert np.array_equal(batch.step(rng), oracle.step(state))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
