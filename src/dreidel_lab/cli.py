@@ -1,5 +1,7 @@
-"""Command-line entry point: every analysis as a subcommand; the five that
-draw random numbers (simulate, epochs, wald, construct, scaling) take --seed.
+"""Command-line entry point: a subcommand per analysis, save five that only
+the acceptance gate runs (ganz_wait, identity_checks, concat_check,
+restorative_sequence, count_low_epoch_games).  The five that draw random
+numbers (simulate, epochs, wald, construct, scaling) take --seed.
 
 Exit codes: 0 success, 1 hard bound-check failure, 2 usage error,
 infeasible parameters or an unwritable output (a closed stdout too),

@@ -5,10 +5,10 @@ apply_spin maps (state, outcome) to a new state plus the events that
 fired.  It plays single games and is the oracle the tests check the
 array engine against.  The array engine, `SpinBatch`, spins many games
 in lockstep.  The Monte Carlo samplers run on it, and so do the Markov
-kernels and `overdraft_spins`, through `spin_each_outcome`, which spins
-a grid of games once under each forced outcome.  Tokens are conserved:
-pot + sum of stacks keeps its starting value through every spin, in
-both modes.
+kernels, through `spin_each_outcome`, which spins a grid of games once
+under each forced outcome; one such batch makes `overdraft_steps`, the
+step table of the overdraft chains and the exact DPs.  In both modes a
+spin conserves tokens: pot + sum of stacks keeps its starting value.
 """
 
 from __future__ import annotations
@@ -419,14 +419,16 @@ def spin_each_outcome(k: int, pot, stacks, overdraft: bool) -> tuple[np.ndarray,
 
 
 @cache
-def overdraft_spins(pot: int, k: int) -> tuple[tuple[int, int, int], ...]:
-    """Every overdraft spin from `pot` with k players, indexed by outcome
-    code: (pot after the spin, the spinner's gain, the ante everyone pays),
-    read off `spin_each_outcome` for one game spun from empty stacks, where
-    seat 1 holds -ante and the spinner gain - ante."""
-    pots, held, _ = spin_each_outcome(k, pot, 0, overdraft=True)
-    spinner, seat1 = held[:, :2, 0].T.tolist()
-    return tuple((p, s - o, -o) for p, s, o in zip(pots[:, 0].tolist(), spinner, seat1))
+def overdraft_steps(k: int, cap: int) -> np.ndarray:
+    """Every overdraft spin with k players from pots 0..cap, read-only, as
+    the cache shares it: steps[pot, o] = (pot after, spinner's gain, ante)
+    under outcome code o, read off `spin_each_outcome` from empty stacks,
+    where seat 1 holds -ante and the spinner gain - ante."""
+    pot, held, _ = spin_each_outcome(k, np.arange(cap + 1), 0, overdraft=True)
+    ante = -held[:, 1]
+    steps = np.stack([pot, held[:, 0] + ante, ante]).T
+    steps.flags.writeable = False
+    return steps
 
 
 def play_game(config: GameConfig, seed_or_rng) -> Transcript:

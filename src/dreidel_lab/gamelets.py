@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .game import GameConfig, apply_spin, new_custom, overdraft_spins
+from .game import GameConfig, apply_spin, new_custom, overdraft_steps
 from .reporting import BoundReport
 from .rng import GANZ
 
@@ -50,8 +50,8 @@ def enumerate_signatures(k: int, p: int) -> SignatureTable:
     Exact dynamic count over (pot, delta) summaries: sequences with the
     same running pot and per-role deltas are interchangeable, and the
     last role's delta is pot-implied, so only roles 0..k-2 are carried
-    and the state space stays small.  Each spin's four outcomes come from
-    `game.overdraft_spins`, one step of the array engine `game.SpinBatch`.
+    and the state space stays small.  Each spin's four outcomes are a row
+    of the overdraft step table `game.overdraft_steps`, read as lists.
     Where a key is nearly a sequence (p = 1) the layers grow about 4-fold
     a spin, so a layer that could pass MAX_LAYER keys is refused before
     it is built.
@@ -60,6 +60,7 @@ def enumerate_signatures(k: int, p: int) -> SignatureTable:
         raise ValueError("need k >= 2 and p >= 1")
     if p * k > MAX_PK:
         raise ValueError(f"p*k = {p * k} too large to enumerate")
+    steps = overdraft_steps(k, k + p * k + 1).tolist()  # only a Shtel raises the pot, by one
     layer: dict[tuple, int] = {(k, (0,) * (k - 1)): 1}
     for t in range(p * k + 1):
         bound = len(layer) * (1 if t == p * k else 4)
@@ -67,12 +68,10 @@ def enumerate_signatures(k: int, p: int) -> SignatureTable:
             raise ValueError(f"k={k}, p={p} too large to enumerate: spin {t + 1} could make "
                              f"{bound} keys, past {MAX_LAYER}")
         role = t % k
+        outcomes = slice(GANZ, GANZ + 1) if t == p * k else slice(4)  # the closing Ganz, or all four
         nxt: dict[tuple, int] = {}
         for (pot, ds), cnt in layer.items():
-            spins = overdraft_spins(pot, k)
-            if t == p * k:  # the closing Ganz
-                spins = spins[GANZ:GANZ + 1]
-            for pot2, gain, ante in spins:
+            for pot2, gain, ante in steps[pot][outcomes]:
                 d = [u - ante for u in ds]
                 if role < k - 1:
                     d[role] += gain
@@ -87,10 +86,11 @@ def gamelet_signature(k: int, outcomes: list[int]) -> tuple[int, ...]:
     """Signature of one concrete gamelet (must end in a Ganz)."""
     if outcomes[-1] != GANZ:
         raise ValueError("gamelet must end with a Ganz")
+    steps = overdraft_steps(k, k + len(outcomes)).tolist()  # only a Shtel raises the pot, by one
     pot = k
     deltas = [0] * k
     for t, o in enumerate(outcomes):
-        pot, gain, ante = overdraft_spins(pot, k)[o]
+        pot, gain, ante = steps[pot][o]
         deltas = [d - ante for d in deltas]
         deltas[t % k] += gain
     if sum(deltas) != 0:

@@ -10,10 +10,11 @@ Four chains are built here:
     spin; "game" updates the second coordinate only on P1's spins and on
     antes.
 
-Each kernel is one CSR matrix over its numbered states.  All four
-chains spin their whole state grid once under each forced outcome
-through `game.spin_each_outcome`, one batch of the array engine
-`game.SpinBatch`, with the spinner on seat 0; the tests check every row
+Each kernel is one CSR matrix over its numbered states.  The game and
+duration chains spin their whole state grid once under each forced
+outcome through `game.spin_each_outcome`, one batch of `game.SpinBatch`
+with the spinner on seat 0; the two overdraft chains, pot and mod-Lambda,
+read the step table `game.overdraft_steps`.  The tests check every row
 against the scalar engine `game.apply_spin`.
 
 `diagnostics` takes the period from one compiled BFS and the stationary
@@ -35,7 +36,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import splu
 
-from .game import spin_each_outcome
+from .game import overdraft_steps, spin_each_outcome
 
 P_LOSS_1 = ("loss", 1)  # P1 eliminated: P2 wins
 P_LOSS_2 = ("loss", 2)
@@ -223,12 +224,12 @@ def build_duration_chain(n: int) -> SparseKernel:
 
 
 def build_pot_chain(x_max: int) -> SparseKernel:
-    """Markov chain of pot sizes alone, spun with overdraft from zero
-    stacks; the pot is clamped at the cap, so a Shtel there self-loops."""
+    """Markov chain of pot sizes alone, read off the overdraft steps; the
+    pot is clamped at the cap, so a Shtel there self-loops."""
     if x_max < 4:
         raise ValueError("x_max >= 4 required")
     x = np.arange(1, x_max + 1)
-    succ = np.minimum(spin_each_outcome(2, x, 0, overdraft=True)[0], x_max) - 1
+    succ = np.minimum(overdraft_steps(2, x_max)[1:, :, 0].T, x_max) - 1
     return _spin_kernel(x.tolist(), x - 1, succ, np.zeros(x_max, dtype=bool))
 
 
@@ -271,18 +272,14 @@ class ModChainSpec:
 
 
 def build_mod_chain(spec: ModChainSpec) -> SparseKernel:
-    """The full (pot, y, turn) grid, numbered x-major then y then turn, spun
-    with overdraft; y is reduced mod Lambda and the pot clamped at the cap."""
+    """The full (pot, y, turn) grid, numbered x-major then y then turn, read
+    off the overdraft steps; y is taken mod Lambda, the pot clamped at the cap."""
     lam, cap = spec.lam, spec.p_max
     x, y, z = (a.ravel() for a in np.meshgrid(np.arange(1, cap + 1), np.arange(lam), (1, 2), indexing="ij"))
-    cols = np.arange(x.size)
-    # the seat holding y, with the spinner on seat 0: the spinner's on P1's
-    # spins (on every spin, in the formal flavor), else the other
-    seat = np.where((z == 1) | (spec.flavor == "formal"), 0, 1)
-    stacks = np.zeros((2, x.size), dtype=np.int64)
-    stacks[seat, cols] = y
-    pot, held, _ = spin_each_outcome(2, x, stacks, overdraft=True)
-    succ = ((np.minimum(pot, cap) - 1) * lam + held[:, seat, cols] % lam) * 2 + (2 - z)  # the turn passes
+    pot, gain, ante = overdraft_steps(2, cap)[x].T
+    # P1 pays every ante and gains on its own spins (on every spin if formal)
+    held = y + gain * ((z == 1) | (spec.flavor == "formal")) - ante
+    succ = ((np.minimum(pot, cap) - 1) * lam + held % lam) * 2 + (2 - z)  # the turn passes
     states = list(zip(x.tolist(), y.tolist(), z.tolist()))
     return _spin_kernel(states, np.arange(x.size), succ, np.zeros(x.size, dtype=bool))
 

@@ -21,7 +21,7 @@ from dreidel_lab.game import (
     halb_split,
     new_custom,
     new_game,
-    overdraft_spins,
+    overdraft_steps,
     play_game,
     spin_each_outcome,
 )
@@ -153,15 +153,24 @@ class TestAnte:
             ante(s)
 
 
-class TestOverdraftSpins:
-    @pytest.mark.parametrize("k", [2, 3, 4])
+class TestOverdraftSteps:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_matches_apply_spin(self, k):
-        for pot in range(1, 12):
+        steps = overdraft_steps(k, 29)
+        assert steps.shape == (30, 4, 3)
+        for pot in range(1, 30):
             before = state(k, 5, pot, (3,) * k, turn=1, overdraft=True)
-            for outcome, (pot2, gain, ante_paid) in zip(Spin, overdraft_spins(pot, k)):
+            for outcome, (pot2, gain, ante_paid) in zip(Spin, steps[pot].tolist()):
                 after, _ = apply_spin(before, outcome)
                 assert after.pot == pot2
                 assert after.stacks == tuple(3 - ante_paid + gain * (p == 1) for p in range(k))
+
+    def test_is_read_only(self):
+        # the cache hands every caller the same array
+        steps = overdraft_steps(3, 8)
+        assert overdraft_steps(3, 8) is steps
+        with pytest.raises(ValueError, match="read-only"):
+            steps[1, 0, 0] = 7
 
 
 class TestSpinEachOutcome:

@@ -72,13 +72,14 @@ class TestSignatureOfSequence:
             gl.gamelet_signature(2, [0, 0])
 
     def test_agrees_with_table(self):
-        k, p = 2, 2
-        table = gl.enumerate_signatures(k, p)
-        counts = {}
-        for seq in itertools.product(range(4), repeat=p * k):
-            sig = gl.gamelet_signature(k, list(seq) + [GANZ])
-            counts[sig] = counts.get(sig, 0) + 1
-        assert counts == table.counts
+        for k, p in [(2, 2), (3, 2), (2, 3)]:
+            counts = {}
+            for seq in itertools.product(range(4), repeat=p * k):
+                sig = gl.gamelet_signature(k, list(seq) + [GANZ])
+                counts[sig] = counts.get(sig, 0) + 1
+            assert counts == gl.enumerate_signatures(k, p).counts
+            # both read game.overdraft_steps, so replay the rules engine too
+            assert counts == brute_force_signatures(k, p)
 
 
 class TestMinkowski:
