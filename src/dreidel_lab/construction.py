@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .epochs import lost_players, run_epoch, window_side
-from .game import GameConfig, GameState, apply_spin, new_game, overdraft_steps
+from .game import GameConfig, GameState, apply_spin, new_game, overdraft_step_rows
 from .gamelets import choose_alpha, random_gamelet
 from .rng import GANZ, HALB, NISHT, SHTEL, ScriptedSource
 
@@ -237,7 +237,7 @@ def count_low_epoch_games(k: int, s: int, t_s: int, n: int) -> LowEpochCount:
     Exact dynamic program (Python integers) over the only state a prefix
     carries: the pot, the last player's stack w and the epochs so far.
     Each spin's four outcomes are a row of the overdraft step table
-    `game.overdraft_steps`, read as lists.
+    `game.overdraft_steps`, read as tuples (`game.overdraft_step_rows`).
     A path is dropped once the last player goes home (w leaves the
     metaslowdel window, `epochs.window_side`, at the end of an epoch)
     before spin k*s; at spin k*s only a Ganz that sends the last player
@@ -247,7 +247,7 @@ def count_low_epoch_games(k: int, s: int, t_s: int, n: int) -> LowEpochCount:
         if value < least:
             raise ValueError(f"need {name} >= {least}, got {name}={value}")
     ks = k * s
-    steps = overdraft_steps(k, k + ks).tolist()  # only a Shtel raises the pot, by one
+    steps = overdraft_step_rows(k, k + ks)  # only a Shtel raises the pot, by one
     layer: dict[tuple[int, int, int], int] = {(k, n - 1, 0): 1}
     for t in range(ks):
         mine = t % k == k - 1  # the last player spins

@@ -423,12 +423,22 @@ def overdraft_steps(k: int, cap: int) -> np.ndarray:
     """Every overdraft spin with k players from pots 0..cap, read-only, as
     the cache shares it: steps[pot, o] = (pot after, spinner's gain, ante)
     under outcome code o, read off `spin_each_outcome` from empty stacks,
-    where seat 1 holds -ante and the spinner gain - ante."""
+    where seat 1 holds -ante and the spinner gain - ante.  Row 0 is not a
+    dreidel state: an overdraft pot never empties, and from pot 0 a Nisht
+    or Halb leaves it at 0 with no ante, where `apply_spin` antes.  Read
+    rows 1..cap only."""
     pot, held, _ = spin_each_outcome(k, np.arange(cap + 1), 0, overdraft=True)
     ante = -held[:, 1]
     steps = np.stack([pot, held[:, 0] + ante, ante]).T
     steps.flags.writeable = False
     return steps
+
+
+@cache
+def overdraft_step_rows(k: int, cap: int) -> tuple:
+    """`overdraft_steps(k, cap)` as nested tuples of Python ints, made once
+    per (k, cap) for the scalar loops that read one spin at a time."""
+    return tuple(tuple(map(tuple, row)) for row in overdraft_steps(k, cap).tolist())
 
 
 def play_game(config: GameConfig, seed_or_rng) -> Transcript:

@@ -3,44 +3,53 @@
 A gamelet of length p*k+1 ending in a Ganz starts from the canonical
 configuration (pot = k, overdraft) and is summarized by the payoff
 signature of the first k-1 roles; the last role's payoff is implied by
-pot conservation.  Counting is exact (Python integers throughout).
+pot conservation.  Counting is exact in int64: a count is at most
+4^(p*k) <= 4^14 < 2^63.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .game import GameConfig, apply_spin, new_custom, overdraft_steps
+import numpy as np
+
+from .game import GameConfig, apply_spin, new_custom, overdraft_step_rows, overdraft_steps
 from .reporting import BoundReport
 from .rng import GANZ
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: no elementwise ==
 class SignatureTable:
+    """Signature counts: column j of `signatures`, shape (k-1, S), is a
+    signature and counts[j] its number of gamelets; the columns are in
+    lexicographic order."""
+
     k: int
     p: int
-    counts: dict[tuple[int, ...], int] = field(default_factory=dict)
+    signatures: np.ndarray
+    counts: np.ndarray
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.sum())
 
     @property
     def occupied(self) -> int:
-        return len(self.counts)
+        return self.counts.size
 
     def in_range_box(self) -> bool:
         lo = -self.p * self.k - 1
         hi = (self.k - 1) * (2 * self.p + 1)
-        return all(lo <= u <= hi for sig in self.counts for u in sig)
+        return bool(((lo <= self.signatures) & (self.signatures <= hi)).all())
 
     def rows(self) -> list[list[int]]:
-        return [[*sig, c] for sig, c in sorted(self.counts.items())]
+        return [[*sig, c] for sig, c in zip(self.signatures.T.tolist(), self.counts.tolist())]
 
 
 MAX_PK = 14  # the longest gamelet body enumerated, in spins
-MAX_LAYER = 5 * 10**6  # DP keys one spin may make; (11, 1) reaches 4.1e6 keys in 2 GB
+MAX_LAYER = 5 * 10**6  # DP keys one spin may make; (11, 1) reaches 4.1e6 keys
+MAX_KEY_BITS = 62  # a packed state key and every key shift fit in int64
 ALPHA_GRID_STEP = 1e-4  # choose_alpha searches (0, 1/2) on this grid
 
 
@@ -50,43 +59,71 @@ def enumerate_signatures(k: int, p: int) -> SignatureTable:
     Exact dynamic count over (pot, delta) summaries: sequences with the
     same running pot and per-role deltas are interchangeable, and the
     last role's delta is pot-implied, so only roles 0..k-2 are carried
-    and the state space stays small.  Each spin's four outcomes are a row
-    of the overdraft step table `game.overdraft_steps`, read as lists.
-    Where a key is nearly a sequence (p = 1) the layers grow about 4-fold
-    a spin, so a layer that could pass MAX_LAYER keys is refused before
-    it is built.
+    and the state space stays small.  A state is one int64 key: the pot
+    is the top digit, then role 0's delta down to role k-2's, each a
+    base-`span` digit offset by -lo.  A spin's four outcomes are a row of
+    the overdraft step table `game.overdraft_steps`, and each moves a key
+    by an amount that depends on the pot and the outcome alone, so a
+    layer is shifted, sorted, and equal keys merge with their counts
+    summed.  Where a key is nearly a sequence (p = 1) the layers grow
+    about 4-fold a spin, so a layer that could pass MAX_LAYER keys is
+    refused before it is built, and so is a (k, p) whose key would pass
+    MAX_KEY_BITS bits.
     """
     if k < 2 or p < 1:
         raise ValueError("need k >= 2 and p >= 1")
     if p * k > MAX_PK:
         raise ValueError(f"p*k = {p * k} too large to enumerate")
-    steps = overdraft_steps(k, k + p * k + 1).tolist()  # only a Shtel raises the pot, by one
-    layer: dict[tuple, int] = {(k, (0,) * (k - 1)): 1}
+    cap = k + p * k + 1  # only a Shtel raises the pot, by one
+    # Digit bounds of a carried delta after any spin.  A role antes at most
+    # once a spin and pays at most p Shtels, so lo = -(pk + p + 1).  Between
+    # two antes it takes at most the k tokens in the pot and the Shtels paid
+    # in between; it takes in at most p + 1 of these stretches, antes once
+    # for each stretch but the first, and the other roles pay at most
+    # p(k - 1) Shtels, so hi = (p + 1)(k - 1) + 1 + p(k - 1).
+    lo = -(p * k + p + 1)
+    hi = (k - 1) * (2 * p + 1) + 1
+    span = hi - lo + 1
+    w_pot = span ** (k - 1)
+    bits = ((cap + 1) * w_pot).bit_length()
+    if bits > MAX_KEY_BITS:
+        raise ValueError(f"k={k}, p={p} too large to enumerate: a state key needs {bits} bits, "
+                         f"past {MAX_KEY_BITS}")
+    w_role = [span ** (k - 2 - r) for r in range(k - 1)] + [0]  # the last role is not carried
+    w_all = sum(w_role)
+    pot2, gain, ante = overdraft_steps(k, cap).transpose(2, 0, 1)
+    # the key shift of each (pot, outcome) but the spinner's gain
+    common = (pot2 - np.arange(cap + 1)[:, None]) * w_pot - ante * w_all
+    keys = np.array([k * w_pot - lo * w_all], dtype=np.int64)
+    counts = np.ones(1, dtype=np.int64)
     for t in range(p * k + 1):
-        bound = len(layer) * (1 if t == p * k else 4)
+        bound = keys.size * (1 if t == p * k else 4)
         if bound > MAX_LAYER:
             raise ValueError(f"k={k}, p={p} too large to enumerate: spin {t + 1} could make "
                              f"{bound} keys, past {MAX_LAYER}")
-        role = t % k
-        outcomes = slice(GANZ, GANZ + 1) if t == p * k else slice(4)  # the closing Ganz, or all four
-        nxt: dict[tuple, int] = {}
-        for (pot, ds), cnt in layer.items():
-            for pot2, gain, ante in steps[pot][outcomes]:
-                d = [u - ante for u in ds]
-                if role < k - 1:
-                    d[role] += gain
-                key = (pot2, tuple(d))
-                nxt[key] = nxt.get(key, 0) + cnt
-        layer = nxt
-    # the pot is k after the closing Ganz, so each signature is one key
-    return SignatureTable(k=k, p=p, counts={ds: cnt for (_, ds), cnt in layer.items()})
+        pot = keys // w_pot
+        if pot.min() < 1 or pot.max() > cap:  # a pot outside the table: the key digits aliased
+            raise AssertionError(f"spin {t + 1}: a decoded pot left 1..{cap}")
+        shift = common + gain * w_role[t % k]
+        if t == p * k:
+            shift = shift[:, GANZ:GANZ + 1]  # the closing Ganz
+        nxt = (keys[:, None] + shift[pot]).ravel()
+        order = nxt.argsort()
+        nxt = nxt[order]
+        starts = np.flatnonzero(np.r_[True, nxt[1:] != nxt[:-1]])
+        keys = nxt[starts]
+        counts = np.add.reduceat(np.repeat(counts, shift.shape[1])[order], starts)
+    # the pot is k after the closing Ganz, so the sorted keys are the
+    # signatures in lexicographic order
+    digits = (keys % w_pot)[None, :] // np.array(w_role[:-1])[:, None] % span
+    return SignatureTable(k=k, p=p, signatures=digits + lo, counts=counts)
 
 
 def gamelet_signature(k: int, outcomes: list[int]) -> tuple[int, ...]:
     """Signature of one concrete gamelet (must end in a Ganz)."""
     if outcomes[-1] != GANZ:
         raise ValueError("gamelet must end with a Ganz")
-    steps = overdraft_steps(k, k + len(outcomes)).tolist()  # only a Shtel raises the pot, by one
+    steps = overdraft_step_rows(k, k + len(outcomes))  # only a Shtel raises the pot, by one
     pot = k
     deltas = [0] * k
     for t, o in enumerate(outcomes):
@@ -103,7 +140,7 @@ def minkowski_check(table: SignatureTable) -> BoundReport:
     k, p = table.k, table.p
     rep = BoundReport(f"Minkowski counts, k={k}, p={p}")
     total = table.total
-    power_sum = sum(c**k for c in table.counts.values())
+    power_sum = sum(c**k for c in table.counts.tolist())  # c^k passes int64
     rep.check_ge("total == 4^pk", float(total == 4 ** (p * k)), 1.0)
     rep.check_ge("signatures inside range box", float(table.in_range_box()), 1.0)
     # exact integer comparisons, reported as 0/1 flags

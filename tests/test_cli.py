@@ -201,9 +201,11 @@ class TestExitCodes:
               "--y3", "2", "--z3", "1"], "error: n >= 1 required\n"),
             (["exact", "--n", "0"], "error: n >= 1 required\n"),
             (["scaling", "--k", "2", "--n-list", "0,3", "--mode", "exact"], "error: n >= 1 required\n"),
+            (["gamelets", "--k", "12", "--p", "1"],
+             "error: k=12, p=1 too large to enumerate: a state key needs 67 bits, past 62\n"),
         ],
         ids=["pmax-0", "bounds-n-0", "bounds-n-negative", "report-n-0", "hitprob-n-0", "exact-n-0",
-             "exact-scaling-n-0"],
+             "exact-scaling-n-0", "gamelets-key-width"],
     )
     def test_out_of_range_n_or_cap_is_usage_error(self, tmp_path, capsys, args, message):
         code, path = run(tmp_path, args)

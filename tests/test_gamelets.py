@@ -1,13 +1,39 @@
 """Gamelet enumeration checked against a brute-force engine replay."""
 
 import itertools
+import re
 
 import pytest
 
 from dreidel_lab import gamelets as gl
 from dreidel_lab.epochs import new_custom
-from dreidel_lab.game import GameConfig, Spin, apply_spin
+from dreidel_lab.game import GameConfig, Spin, apply_spin, overdraft_steps
 from dreidel_lab.rng import GANZ, make_generator
+
+
+def table_counts(table):
+    """A signature table as {signature: count}, read through `rows()`."""
+    return {tuple(row[:-1]): row[-1] for row in table.rows()}
+
+
+def dict_signatures(k, p):
+    """Oracle: the gamelet DP keyed by (pot, tuple of deltas) in a dict of
+    Python ints, as `enumerate_signatures` was first written."""
+    steps = overdraft_steps(k, k + p * k + 1).tolist()
+    layer = {(k, (0,) * (k - 1)): 1}
+    for t in range(p * k + 1):
+        role = t % k
+        outcomes = slice(GANZ, GANZ + 1) if t == p * k else slice(4)
+        nxt = {}
+        for (pot, ds), cnt in layer.items():
+            for pot2, gain, ante in steps[pot][outcomes]:
+                d = [u - ante for u in ds]
+                if role < k - 1:
+                    d[role] += gain
+                key = (pot2, tuple(d))
+                nxt[key] = nxt.get(key, 0) + cnt
+        layer = nxt
+    return {ds: cnt for (_, ds), cnt in layer.items()}
 
 
 def brute_force_signatures(k, p):
@@ -32,7 +58,13 @@ class TestEnumerateSignatures:
     @pytest.mark.parametrize("k,p", [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1), (5, 1), (6, 1)])
     def test_matches_engine_brute_force(self, k, p):
         table = gl.enumerate_signatures(k, p)
-        assert table.counts == brute_force_signatures(k, p)
+        assert table_counts(table) == brute_force_signatures(k, p)
+
+    @pytest.mark.parametrize("k,p", [(2, 3), (3, 2), (3, 4), (4, 3), (7, 1)])
+    def test_matches_dict_dp(self, k, p):
+        table = gl.enumerate_signatures(k, p)
+        assert table.signatures.shape == (k - 1, table.occupied)
+        assert table.rows() == [[*sig, c] for sig, c in sorted(dict_signatures(k, p).items())]
 
     def test_total_is_4_pow_pk(self):
         assert gl.enumerate_signatures(2, 1).total == 16
@@ -41,7 +73,12 @@ class TestEnumerateSignatures:
     def test_range_box(self):
         table = gl.enumerate_signatures(2, 1)
         assert table.in_range_box()
-        assert all(-3 <= sig[0] <= 3 for sig in table.counts)
+        assert all(-3 <= sig[0] <= 3 for sig in table_counts(table))
+
+    @pytest.mark.parametrize("k,p", [(4, 3), (2, 6), (3, 3)])
+    def test_largest_tables_in_range_box(self, k, p):
+        # a delta outside its key digit's range would alias another state
+        assert gl.enumerate_signatures(k, p).in_range_box()
 
     def test_limits(self):
         with pytest.raises(ValueError):
@@ -61,6 +98,32 @@ class TestEnumerateSignatures:
             with pytest.raises(ValueError, match=rf"k=4, p=3 too large to enumerate: .* keys, past {cap}$"):
                 gl.enumerate_signatures(4, 3)
 
+    def test_key_too_wide_refused_before_any_spin(self, monkeypatch):
+        def no_table(k, cap):
+            raise AssertionError("the step table was built")
+
+        monkeypatch.setattr(gl, "overdraft_steps", no_table)
+        refused = []
+        for k in range(2, gl.MAX_PK + 1):
+            for p in range(1, gl.MAX_PK // k + 1):
+                try:
+                    gl.enumerate_signatures(k, p)
+                except ValueError as exc:
+                    assert re.fullmatch(rf"k={k}, p={p} too large to enumerate: a state key needs "
+                                        rf"\d+ bits, past {gl.MAX_KEY_BITS}", str(exc))
+                    refused.append((k, p))
+                except AssertionError:
+                    pass
+        assert refused == [(12, 1), (13, 1), (14, 1)]
+
+    def test_pot_outside_table_is_caught(self, monkeypatch):
+        # a table whose Nisht empties the pot sends the next spin to row 0
+        steps = overdraft_steps(2, 5).copy()
+        steps[:, 0, 0] = 0
+        monkeypatch.setattr(gl, "overdraft_steps", lambda k, cap: steps)
+        with pytest.raises(AssertionError, match=r"spin 2: a decoded pot left 1\.\.5"):
+            gl.enumerate_signatures(2, 1)
+
 
 class TestSignatureOfSequence:
     def test_known_landslide(self):
@@ -77,7 +140,7 @@ class TestSignatureOfSequence:
             for seq in itertools.product(range(4), repeat=p * k):
                 sig = gl.gamelet_signature(k, list(seq) + [GANZ])
                 counts[sig] = counts.get(sig, 0) + 1
-            assert counts == gl.enumerate_signatures(k, p).counts
+            assert counts == table_counts(gl.enumerate_signatures(k, p))
             # both read game.overdraft_steps, so replay the rules engine too
             assert counts == brute_force_signatures(k, p)
 
@@ -90,7 +153,7 @@ class TestMinkowski:
 
     def test_power_mean_exact(self):
         table = gl.enumerate_signatures(2, 1)
-        power_sum = sum(c**2 for c in table.counts.values())
+        power_sum = sum(c**2 for c in table.counts.tolist())
         assert power_sum * table.occupied >= table.total**2
 
 

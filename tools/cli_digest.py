@@ -1,10 +1,10 @@
 """Digest of every README CLI command, to compare two checkouts byte for byte.
 
 Runs the README's eleven `dreidel-lab` commands in-process (`simulate`
-with `--jobs 1`), twelve usage errors, four runs whose bytes must not
-depend on an output name, an ignored setting or the number of worker
-processes, and a Monte Carlo `scaling` run at `--jobs 1` and `--jobs 2`,
-each in a fresh temporary directory.
+with `--jobs 1`), two larger gamelet tables, twelve usage errors, four
+runs whose bytes must not depend on an output name, an ignored setting or
+the number of worker processes, and a Monte Carlo `scaling` run at
+`--jobs 1` and `--jobs 2`, each in a fresh temporary directory.
 Prints one tab-separated line per output file: the command, its exit
 code (or the type of the exception it raised), the file (stdout, stderr,
 or a file the command wrote) and the file's sha256.
@@ -44,6 +44,9 @@ COMMANDS = [
     "construct --k 2 --n 30 --s 200 --format json",
     "scaling --k 2 --n-list 5,10,15,20,30,40 --mode exact --plot mu.dat",
     "report --n-list 3..8 -o verdicts.md",
+    # gamelet tables whose signatures have two and three coordinates
+    "gamelets --k 3 --p 4 --table signatures.csv",
+    "gamelets --k 4 --p 3 --table signatures.csv",
     # usage errors: an empty and a one-point --n-list, a pot cap of 0, n = 0,
     # and a construction alpha outside [0, 1]
     "report --n-list 8..3",
