@@ -1,12 +1,13 @@
 """The dreidel spin rule, in the program's two engines.
 
-The scalar engine is pure: a GameState is an immutable value and
-apply_spin maps (state, outcome) to a new state plus the events that
-fired.  It plays single games and is the oracle the tests check the
-array engine against.  The array engine, `SpinBatch`, spins many games
-in lockstep.  The Monte Carlo samplers run on it, and so do the Markov
-kernels, through `spin_each_outcome`, which spins a grid of games once
-under each forced outcome; one such batch makes `overdraft_steps`, the
+The scalar engine is pure: a GameState is an immutable value, a named
+tuple like the StepEvent and TranscriptEntry records, and apply_spin
+maps (state, outcome) to a new state plus the events that fired.  It
+plays single games and is the oracle the tests check the array engine
+against.  The array engine, `SpinBatch`, spins many games in lockstep.
+The Monte Carlo samplers run on it, and so do the Markov kernels,
+through `spin_each_outcome`, which spins a grid of games once under each
+forced outcome; one such batch makes `overdraft_steps`, the
 step table of the overdraft chains and the exact DPs.  In both modes a
 spin conserves tokens: pot + sum of stacks keeps its starting value.
 """
@@ -17,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +82,7 @@ class GameConfig:
             raise ValueError(f"need at least one starting token, got n={self.n}")
 
 
-@dataclass(frozen=True)
-class StepEvent:
+class StepEvent(NamedTuple):
     kind: str  # "ante" | "eliminated" | "won" | "no_survivor"
     player: int | None = None
     payers: tuple[int, ...] = ()
@@ -95,8 +96,7 @@ class StepEvent:
         return d
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     config: GameConfig
     pot: int
     stacks: tuple[int, ...]
@@ -106,7 +106,7 @@ class GameState:
 
     @property
     def num_alive(self) -> int:
-        return sum(self.alive)
+        return self.alive.count(True)
 
     @property
     def terminated(self) -> bool:
@@ -119,8 +119,7 @@ class GameState:
         return None
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     spin_index: int
     player: int
     outcome: Spin
@@ -269,39 +268,45 @@ def apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameState, list[S
 
     Ganz empties the pot and the ante fires within the same spin, so the
     pot is never left empty. A Shtel by a broke player (non-overdraft)
-    eliminates the spinner and leaves the pot unchanged.
+    eliminates the spinner and leaves the pot unchanged.  The new state
+    shares `stacks` and `alive` with the old one where the spin leaves
+    them as they were.
     """
-    alive = list(state.alive)
-    n_alive = sum(alive)
+    config, pot, stacks, spinner, alive, spin_index = state
+    n_alive = alive.count(True)
     if n_alive <= 1:
         raise GameOverError("game already terminated")
-    cfg = state.config
-    spinner = state.turn
-    pot = state.pot
-    stacks = list(state.stacks)
     events: list[StepEvent] = []
 
     if outcome == NISHT:
         pass
     elif outcome == GANZ:
+        stacks = list(stacks)
         stacks[spinner] += pot
         pot = 0
-    elif outcome == HALB:
-        taken, pot = halb_split(pot)
+    elif outcome == HALB:  # `halb_split`, inline
+        if pot < 0:
+            raise ValueError("pot must be nonnegative")
+        taken = pot // 2
+        stacks = list(stacks)
         stacks[spinner] += taken
+        pot -= taken
     elif outcome == SHTEL:
-        if cfg.overdraft or stacks[spinner] >= 1:
+        if config.overdraft or stacks[spinner] >= 1:
+            stacks = list(stacks)
             stacks[spinner] -= 1
             pot += 1
         else:
             n_alive -= alive[spinner]
+            alive = list(alive)
             alive[spinner] = False
             events.append(StepEvent("eliminated", spinner))
     else:
         Spin(outcome)  # raises the ValueError that names the invalid code
 
     if pot == 0:
-        pot = n_alive = _ante(stacks, alive, cfg.overdraft, events)
+        stacks, alive = list(stacks), list(alive)
+        pot = n_alive = _ante(stacks, alive, config.overdraft, events)
 
     if n_alive == 1:
         turn = alive.index(True)
@@ -314,7 +319,7 @@ def apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameState, list[S
         turn = (spinner + 1) % k
         while not alive[turn]:
             turn = (turn + 1) % k
-    return GameState(cfg, pot, tuple(stacks), turn, tuple(alive), state.spin_index + 1), events
+    return GameState(config, pot, tuple(stacks), turn, tuple(alive), spin_index + 1), events
 
 
 # The spinner takes pot >> _TAKE_SHIFT[code], by code N, G, H, S: nothing
@@ -451,24 +456,16 @@ def play_game(config: GameConfig, seed_or_rng) -> Transcript:
         rng = seed_or_rng
     state = new_game(config)
     transcript = Transcript(config=config)
-    while not state.terminated:
+    entries = transcript.entries
+    while True:  # a new game has k >= 2 players alive
         if state.spin_index >= SPIN_CAP:
             raise SpinCapExceeded(f"game exceeded {SPIN_CAP} spins")
         outcome = SPIN_BY_CODE[int(rng.integers(0, 4))]
         spinner = state.turn
         state, events = apply_spin(state, outcome)
-        transcript.entries.append(
-            TranscriptEntry(
-                spin_index=state.spin_index - 1,
-                player=spinner,
-                outcome=outcome,
-                pot=state.pot,
-                stacks=state.stacks,
-                events=tuple(events),
-            )
-        )
-    if state.num_alive == 1:
-        transcript.terminal = f"won:{state.winner}"
-    else:
-        transcript.terminal = "no_survivor"
+        entries.append(TranscriptEntry(state.spin_index - 1, spinner, outcome, state.pot, state.stacks, tuple(events)))
+        if events and events[-1].kind in ("won", "no_survivor"):  # a spin that ends the game says so last
+            break
+    end = events[-1]
+    transcript.terminal = f"won:{end.player}" if end.kind == "won" else "no_survivor"
     return transcript

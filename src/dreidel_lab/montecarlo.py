@@ -106,8 +106,11 @@ class PayoffStats:
         mean = float(y.mean())
         m2 = float((y**2).mean())
         var = m2 - mean**2
-        m4 = float((y**4).mean())
-        m4c = float(((y - mean) ** 4).mean())
+        lo = sample.y.min()
+        vals = np.arange(lo, sample.y.max() + 1, dtype=np.float64)  # the values y takes
+        at = sample.y - lo  # each epoch's index into vals
+        m4 = float((vals**4).take(at).mean())  # one pow per value, the floats of y**4
+        m4c = float(((vals - mean) ** 4).take(at).mean())
         ls = sample.landslide
         exact = bool(np.all(sample.y[ls] == 2 * sample.k - 2)) if ls.any() else True
         return cls(

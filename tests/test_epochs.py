@@ -143,6 +143,17 @@ class TestRunMetaslowdel:
             assert rec.side == ("lower" if rec.s_t < lower else "upper")
             assert rec.u % 2 == 0 and rec.u >= 2 * rec.t
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_draws_one_code_per_spin(self, k):
+        # the caller's generator ends where `u` scalar draws leave a twin
+        start = overdraft_start(k, 4)
+        for seed in range(10):
+            rng, twin = make_generator(seed), make_generator(seed)
+            rec = run_metaslowdel(start, 4, rng)
+            for _ in range(rec.u):
+                twin.integers(0, 4)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_triangle_inequality_sanity(self):
         start = new_custom((4, 4), GameConfig(k=2, n=4, overdraft=True))
         recs = [run_metaslowdel(start, 4, make_generator(s)) for s in range(200)]

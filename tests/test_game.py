@@ -1,6 +1,6 @@
 """Rules-engine unit tests: exact semantics, no tolerances."""
 
-from dataclasses import replace
+import hashlib
 
 import numpy as np
 import pytest
@@ -63,6 +63,62 @@ class TestNewGame:
             GameConfig(k=1, n=5)
         with pytest.raises(ValueError):
             GameConfig(k=2, n=0)
+
+
+# each record: a maker of one value, and another value for every field
+RECORDS = {
+    "GameState": (
+        lambda: GameState(GameConfig(3, 4), 5, (1, 2, 3), 1, (True, False, True), 7),
+        dict(config=GameConfig(3, 4, overdraft=True), pot=6, stacks=(1, 2, 4), turn=2, alive=(True,) * 3,
+             spin_index=8),
+        "GameState(config=GameConfig(k=3, n=4, overdraft=False), pot=5, stacks=(1, 2, 3), turn=1, "
+        "alive=(True, False, True), spin_index=7)",
+    ),
+    "StepEvent": (
+        lambda: StepEvent("ante", None, (0, 2)),
+        dict(kind="eliminated", player=2, payers=(0,)),
+        "StepEvent(kind='ante', player=None, payers=(0, 2))",
+    ),
+    "TranscriptEntry": (
+        lambda: TranscriptEntry(7, 1, Spin.HALB, 3, (1, 2, 3), (StepEvent("won", 1),)),
+        dict(spin_index=8, player=2, outcome=Spin.GANZ, pot=4, stacks=(0, 2, 3), events=()),
+        "TranscriptEntry(spin_index=7, player=1, outcome=<Spin.HALB: 2>, pot=3, stacks=(1, 2, 3), "
+        "events=(StepEvent(kind='won', player=1, payers=()),))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestValueTypes:
+    def test_equal_and_hashed_by_value(self, name):
+        make, _, _ = RECORDS[name]
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_unequal_when_one_field_differs(self, name):
+        make, other, _ = RECORDS[name]
+        a = make()
+        assert set(other) == set(a._fields)
+        for field, value in other.items():
+            b = a._replace(**{field: value})
+            assert getattr(b, field) == value
+            assert all(getattr(b, f) == getattr(a, f) for f in a._fields if f != field)
+            assert b != a
+        assert a == make()
+
+    def test_immutable(self, name):
+        make, _, _ = RECORDS[name]
+        a = make()
+        for field in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, field, getattr(a, field))
+        with pytest.raises(AttributeError):
+            a.extra = 0
+        assert a == make()
+
+    def test_repr(self, name):
+        make, _, text = RECORDS[name]
+        assert repr(make()) == text
 
 
 class TestHalbSplit:
@@ -216,6 +272,49 @@ class TestScriptedSource:
             ScriptedSource(codes)
 
 
+# SHA-256 of play_game(GameConfig(k, n=4), seed).to_json() for seeds 0..9,
+# as the engine wrote it on frozen dataclass records: the transcript bytes,
+# which no CLI command prints
+TRANSCRIPT_SHA256 = {
+    2: (
+        "ac36a8dd72ec0c07bcd324a1e0be60c3db649bafd0941472b54eed52a00c1c58",
+        "81da373a1d21e272f105cc0095ceb4dd859863c03472d3068d141b2b979c9986",
+        "fd1777ca0f3380c2e599b6772ee1d75c6505d5c34f091c2a578a8b2ef9f4daa3",
+        "92675e5df91f2e3f213e2a167f6082676689be5485219c3303c2ccf9abd0548d",
+        "2dddaf7515dc48d8f6cea6d9185df90ed171a8e5770f2ab58643064c2a464089",
+        "ff3e7c6896857fe68f8f845738a660a99e596b538c9081a4467ec014ef21d3a6",
+        "cee1bc83a4a2659fc7e0ad873cef5d95a15db7f1bb63183ab20c6009399f67aa",
+        "2584dd308f0455e0ea10fd0a04babdcff8522a519c59a10bcc00fecc5cded322",
+        "8eb7e46cc0be76f86ecbbdfbbba193ba8d93ab288fcfdca312294b3f425326fc",
+        "202d3836ce06d04c61dfa1a055c21f64dc38633bc4b4ff2def251e498afbd6ee",
+    ),
+    3: (
+        "91987079014bb51bc99e004802654c5b3759cede8d58579de1c5f522b9f24bef",
+        "ee561211244ab1b4f968d22ba3e51317a0e747b57a326e5f57991653cd43453e",
+        "1687a5d66cce9988ee2e4684b103f3031f14633e0d83d73f9bcad9d5b59ec142",
+        "dd3de085d879eb343bee26d5cfb117f834762f01393cca96e6151eebfb6631c4",
+        "8b68f22036b55146c43bca9aceb2dc067845cf59631da113062bbb3bb90478f7",
+        "2e376d1f1ef309363fce31b323e405c82b10dc1aebd596ece89d30a72e5a09f2",
+        "b48f91cf58b165bb347c63aed0172f61638af81bbd49517ec68f63f070d21944",
+        "9523d5f8356ab1050b9978fbc89c9691c346f26df020cf919435e9c3a14dd5a4",
+        "f8aeba38bb0b0e65df0fecb34a4223d806c470619321e3e18890f40d9304ef89",
+        "2525fbdb1e31c866891c3e54adf95f899f912a62c30ddf3cb0da381422367766",
+    ),
+    4: (
+        "61fa2f73f8c15bff8cb0ba7cb4e512c277cad140e0bafcee34be5cb60d46afeb",
+        "83dd1344cdab2dbc6c2786e032bd99f660c0af5cd28346e0c81bb2be8571d2ea",
+        "44185ec22ae61d5ab883bad2e71c9d9fb71c5b0308707814f84c6eb4d32b65cb",
+        "b5dd8062bc8b238d40621c6ad30b11c7adf21b4acc14133ef72a516d3efea511",
+        "6007dc91f20a9a0e60a9e1b8e8ac5b092218c0d19686a990d00896afbdf6aef4",
+        "ed510c0632a60ed5c8c479506cf3607141e7ae35120064c93cfe94545fb7fe92",
+        "d29afb4b734d8ab1632b79442a2f16468433609c9ee25dca01eae66d2d05509e",
+        "329ff6d86693a37329043c3b34e7367d2c9cb0cae32601cd6636b87500f7983e",
+        "1464df667203c9740d1584309bda02761b56230a145298e51e58ebd71cbee0f7",
+        "1c01736cb5387e1490e6fdb9a72684095769c550dd74341fdce65c5a6b44222b",
+    ),
+}
+
+
 class TestPlayGame:
     def test_n1_terminates_fast(self):
         tr = play_game(GameConfig(k=2, n=1), 0)
@@ -226,6 +325,21 @@ class TestPlayGame:
         a = play_game(GameConfig(k=2, n=4), 123)
         b = play_game(GameConfig(k=2, n=4), 123)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_transcript_bytes_pinned(self, k):
+        for seed, digest in enumerate(TRANSCRIPT_SHA256[k]):
+            assert hashlib.sha256(play_game(GameConfig(k=k, n=4), seed).to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_draws_one_code_per_spin(self, k):
+        # the caller's generator ends where `duration` scalar draws leave a twin
+        for seed in range(10):
+            rng, twin = make_generator(seed), make_generator(seed)
+            duration = play_game(GameConfig(k=k, n=3), rng).duration
+            for _ in range(duration):
+                twin.integers(0, 4)
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_overdraft_rejected(self):
         with pytest.raises(ValueError):
@@ -448,7 +562,7 @@ def test_apply_spin_matches_reference(case):
     """The same (state, events), or the same exception type and message."""
     state, outcome = case
     assert result_or_error(apply_spin, state, outcome) == result_or_error(reference_apply_spin, state, outcome)
-    emptied = replace(state, pot=0)
+    emptied = state._replace(pot=0)
     assert result_or_error(ante, emptied) == result_or_error(reference_ante, emptied)
     assert result_or_error(ante, state) == result_or_error(reference_ante, state)
 

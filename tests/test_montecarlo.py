@@ -65,6 +65,15 @@ class TestPayoffStats:
         b = mc.payoff_sample(2, 5000, seed=9)
         assert a.mean == b.mean and a.second_moment == b.second_moment
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_fourth_moments_match_pow(self, k):
+        # the per-value table gives the floats of raising every epoch's y
+        sample = mc.sample_epochs(k, 20_000, seed=k)
+        stats = mc.PayoffStats.from_sample(sample)
+        y = sample.y.astype(np.float64)
+        assert stats.fourth_moment == float((y**4).mean())
+        assert stats.central_m4 == float(((y - stats.mean) ** 4).mean())
+
     def test_tail_ge(self):
         stats = mc.payoff_sample(2, 5000, seed=1)
         assert stats.tail_ge(1, stats.length_hist) == 1.0
