@@ -14,7 +14,6 @@ spin conserves tokens: pot + sum of stacks keeps its starting value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache
@@ -23,12 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .rng import (
-    CODE_BY_LETTER,
     GANZ,
     HALB,
     NISHT,
     OUTCOME_CODES,
-    OUTCOME_LETTERS,
     SHTEL,
     ScriptedSource,
     make_generator,
@@ -40,14 +37,6 @@ class Spin(IntEnum):
     GANZ = 1
     HALB = 2
     SHTEL = 3
-
-    @property
-    def letter(self) -> str:
-        return OUTCOME_LETTERS[self]
-
-    @classmethod
-    def from_letter(cls, letter: str) -> "Spin":
-        return cls(CODE_BY_LETTER[letter])
 
 
 SPIN_BY_CODE = tuple(Spin)  # Spin member by outcome code, without an Enum call
@@ -86,14 +75,6 @@ class StepEvent(NamedTuple):
     kind: str  # "ante" | "eliminated" | "won" | "no_survivor"
     player: int | None = None
     payers: tuple[int, ...] = ()
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.player is not None:
-            d["player"] = self.player
-        if self.payers:
-            d["payers"] = list(self.payers)
-        return d
 
 
 class GameState(NamedTuple):
@@ -138,65 +119,6 @@ class Transcript:
     def duration(self) -> int:
         return len(self.entries)
 
-    def to_json(self) -> str:
-        doc = {
-            "config": {
-                "k": self.config.k,
-                "n": self.config.n,
-                "overdraft": self.config.overdraft,
-            },
-            "spins": [
-                {
-                    "i": e.spin_index,
-                    "player": e.player,
-                    "outcome": e.outcome.letter,
-                    "pot": e.pot,
-                    "stacks": list(e.stacks),
-                    "events": [ev.to_dict() for ev in e.events],
-                }
-                for e in self.entries
-            ],
-            "terminal": self.terminal,
-        }
-        return json.dumps(doc, indent=None, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Transcript":
-        doc = json.loads(text)
-        cfg = GameConfig(**doc["config"])
-        entries = []
-        for s in doc["spins"]:
-            events = tuple(
-                StepEvent(
-                    kind=ev["kind"],
-                    player=ev.get("player"),
-                    payers=tuple(ev.get("payers", ())),
-                )
-                for ev in s["events"]
-            )
-            entries.append(
-                TranscriptEntry(
-                    spin_index=s["i"],
-                    player=s["player"],
-                    outcome=Spin.from_letter(s["outcome"]),
-                    pot=s["pot"],
-                    stacks=tuple(s["stacks"]),
-                    events=events,
-                )
-            )
-        return cls(config=cfg, entries=entries, terminal=doc["terminal"])
-
-    def replay_matches(self) -> bool:
-        """Re-run the recorded outcomes and compare every intermediate state."""
-        state = new_game(self.config)
-        for e in self.entries:
-            if state.turn != e.player:
-                return False
-            state, _ = apply_spin(state, e.outcome)
-            if state.pot != e.pot or state.stacks != e.stacks:
-                return False
-        return True
-
 
 def new_custom(stacks: tuple[int, ...] | list[int], config: GameConfig) -> GameState:
     """Metadreidel start: arbitrary stacks, opening ante already resolved."""
@@ -218,14 +140,6 @@ def new_custom(stacks: tuple[int, ...] | list[int], config: GameConfig) -> GameS
 def new_game(config: GameConfig) -> GameState:
     """Opening state: everyone antes one token, player 0 spins first."""
     return new_custom((config.n,) * config.k, config)
-
-
-def halb_split(pot: int) -> tuple[int, int]:
-    """Split the pot for a Halb: (smaller half taken, larger half remaining)."""
-    if pot < 0:
-        raise ValueError("pot must be nonnegative")
-    taken = pot // 2
-    return taken, pot - taken
 
 
 def _ante(stacks: list[int], alive: list[bool], overdraft: bool, events: list[StepEvent]) -> int:
@@ -284,7 +198,7 @@ def apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameState, list[S
         stacks = list(stacks)
         stacks[spinner] += pot
         pot = 0
-    elif outcome == HALB:  # `halb_split`, inline
+    elif outcome == HALB:  # the spinner takes the smaller half
         if pot < 0:
             raise ValueError("pot must be nonnegative")
         taken = pot // 2

@@ -15,7 +15,6 @@ import numpy as np
 NISHT, GANZ, HALB, SHTEL = 0, 1, 2, 3
 OUTCOME_CODES = (NISHT, GANZ, HALB, SHTEL)
 OUTCOME_LETTERS = ("N", "G", "H", "S")
-CODE_BY_LETTER = {s: c for c, s in enumerate(OUTCOME_LETTERS)}
 
 
 def make_generator(seed: int, *stream: int) -> np.random.Generator:

@@ -25,7 +25,6 @@ from dreidel_lab.game import (
     Spin,
     ante,
     apply_spin,
-    halb_split,
     new_game,
     play_game,
 )
@@ -59,7 +58,10 @@ def stats_by_k():
 def test_criterion_01_rules_semantics():
     t0 = time.perf_counter()
     ok = True
-    ok &= halb_split(5) == (2, 3) and halb_split(1) == (0, 1) and halb_split(2) == (1, 1)
+    # a Halb gives the spinner the smaller half: (gain, pot left) from pots 5, 1, 2
+    for pot, split in ((5, (2, 3)), (1, (0, 1)), (2, (1, 1))):
+        nxt, _ = apply_spin(GameState(GameConfig(k=2, n=4), pot, (3, 3), 0, (True, True)), Spin.HALB)
+        ok &= (nxt.stacks[0] - 3, nxt.pot) == split
     # opening ante
     s = new_game(GameConfig(k=2, n=5))
     ok &= (s.pot, s.stacks, s.turn) == (2, (4, 4), 0)

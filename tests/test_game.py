@@ -18,7 +18,6 @@ from dreidel_lab.game import (
     TranscriptEntry,
     ante,
     apply_spin,
-    halb_split,
     new_custom,
     new_game,
     overdraft_steps,
@@ -121,19 +120,25 @@ class TestValueTypes:
         assert repr(make()) == text
 
 
+def halb(pot):
+    """(the spinner's gain, the pot left) when a Halb is spun on `pot`."""
+    after, _ = apply_spin(state(2, 4, pot, (3, 3)), Spin.HALB)
+    return after.stacks[0] - 3, after.pot
+
+
 class TestHalbSplit:
     def test_odd(self):
-        assert halb_split(5) == (2, 3)
+        assert halb(5) == (2, 3)
 
     def test_one(self):
-        assert halb_split(1) == (0, 1)
+        assert halb(1) == (0, 1)
 
     def test_even(self):
-        assert halb_split(2) == (1, 1)
+        assert halb(2) == (1, 1)
 
-    @given(st.integers(min_value=0, max_value=10**9))
+    @given(st.integers(min_value=1, max_value=10**9))
     def test_partition(self, pot):
-        taken, remaining = halb_split(pot)
+        taken, remaining = halb(pot)
         assert taken + remaining == pot
         assert taken == pot // 2
         assert remaining >= taken
@@ -272,45 +277,46 @@ class TestScriptedSource:
             ScriptedSource(codes)
 
 
-# SHA-256 of play_game(GameConfig(k, n=4), seed).to_json() for seeds 0..9,
-# as the engine wrote it on frozen dataclass records: the transcript bytes,
-# which no CLI command prints
+# SHA-256 of repr(play_game(GameConfig(k, n=4), seed)) for seeds 0..9: the
+# config, every entry (spinner, outcome, pot, stacks, events) and the
+# terminal, which no CLI command prints.  Made from the same 30 games whose
+# JSON transcripts the engine on frozen dataclass records had pinned.
 TRANSCRIPT_SHA256 = {
     2: (
-        "ac36a8dd72ec0c07bcd324a1e0be60c3db649bafd0941472b54eed52a00c1c58",
-        "81da373a1d21e272f105cc0095ceb4dd859863c03472d3068d141b2b979c9986",
-        "fd1777ca0f3380c2e599b6772ee1d75c6505d5c34f091c2a578a8b2ef9f4daa3",
-        "92675e5df91f2e3f213e2a167f6082676689be5485219c3303c2ccf9abd0548d",
-        "2dddaf7515dc48d8f6cea6d9185df90ed171a8e5770f2ab58643064c2a464089",
-        "ff3e7c6896857fe68f8f845738a660a99e596b538c9081a4467ec014ef21d3a6",
-        "cee1bc83a4a2659fc7e0ad873cef5d95a15db7f1bb63183ab20c6009399f67aa",
-        "2584dd308f0455e0ea10fd0a04babdcff8522a519c59a10bcc00fecc5cded322",
-        "8eb7e46cc0be76f86ecbbdfbbba193ba8d93ab288fcfdca312294b3f425326fc",
-        "202d3836ce06d04c61dfa1a055c21f64dc38633bc4b4ff2def251e498afbd6ee",
+        "f6cc6bd1d326a0a3783f4d47c9005d6278602c2350ea1afc1017ca465fd2bcc3",
+        "b46c55bbf4bcc93d633ce4923949bde16eed8346eb09614ccf2ef7d6437a94ed",
+        "64e5dadb66fd3053634d893d93569a2a4ea64c24f411ff135c0f20db5b157227",
+        "9caa31c156004b75f3a639f79c7d46493588801d553663243f3d266a737789f9",
+        "e27ab08ff2b36c87650f91a98a71683a3d0d7fa6a60b00f008472e071675a81d",
+        "ea1dbe9b32efaccd823311f7e128f8ad4036b5a0ea978c88efd8575928f692ee",
+        "d441d8cd6884aa85ccf24432e73a4091d2a8194ae8403871de3975230b16d5df",
+        "f0f31bd2092f6d18acdd1e3e39a1834b7a86236106fd517c29e5c8d7872a683d",
+        "c097c81d75ad0a23f5c517b406c0dfd81137481e6e638f65fc36fb2c1d5bd62a",
+        "0dad7b868fbbedc55ffff78e012828ce1e86935750d77250135f90c0cc831501",
     ),
     3: (
-        "91987079014bb51bc99e004802654c5b3759cede8d58579de1c5f522b9f24bef",
-        "ee561211244ab1b4f968d22ba3e51317a0e747b57a326e5f57991653cd43453e",
-        "1687a5d66cce9988ee2e4684b103f3031f14633e0d83d73f9bcad9d5b59ec142",
-        "dd3de085d879eb343bee26d5cfb117f834762f01393cca96e6151eebfb6631c4",
-        "8b68f22036b55146c43bca9aceb2dc067845cf59631da113062bbb3bb90478f7",
-        "2e376d1f1ef309363fce31b323e405c82b10dc1aebd596ece89d30a72e5a09f2",
-        "b48f91cf58b165bb347c63aed0172f61638af81bbd49517ec68f63f070d21944",
-        "9523d5f8356ab1050b9978fbc89c9691c346f26df020cf919435e9c3a14dd5a4",
-        "f8aeba38bb0b0e65df0fecb34a4223d806c470619321e3e18890f40d9304ef89",
-        "2525fbdb1e31c866891c3e54adf95f899f912a62c30ddf3cb0da381422367766",
+        "42c46f9ce9bc5d79bfb66d514bf0e8138e3f5a7e8c80dae2a32fb3603dc03d89",
+        "6553bdabe43c3a4385e48df7b846e29ce42a384c3e78d8acc79e0a414f65ab6b",
+        "b08e1ad00df9cc9ca48cac34bdf3d22e03991f59b7eabcdbca35380452886036",
+        "b0ace2b1b5db40199605b3b6376ccf31056dcec21293fee0a1789bbae4178b74",
+        "3ac4c6d59d7543bc61f90d806576537eae1b194489301e0522048ed2c9fb8299",
+        "3f2d1d31e84b31cd9b9db7d712c0688bea68bc41f3e5f1da686e0bc3a6d25b3c",
+        "802440c30a955a1a87a92686d2c340337251b535e3934985375815bbd6a57010",
+        "69d30256cfcec1ceedc94da14663f9b2d7650f18a04f66b14e94235278c42f0d",
+        "94409657b312f167a9f3804292796f735f1d9c10d86dd4a721d1d3253b1453b0",
+        "2c20b454958f3716ab63feecf8d3f54a349dbbc6df9a0e96443570b15da5d7bc",
     ),
     4: (
-        "61fa2f73f8c15bff8cb0ba7cb4e512c277cad140e0bafcee34be5cb60d46afeb",
-        "83dd1344cdab2dbc6c2786e032bd99f660c0af5cd28346e0c81bb2be8571d2ea",
-        "44185ec22ae61d5ab883bad2e71c9d9fb71c5b0308707814f84c6eb4d32b65cb",
-        "b5dd8062bc8b238d40621c6ad30b11c7adf21b4acc14133ef72a516d3efea511",
-        "6007dc91f20a9a0e60a9e1b8e8ac5b092218c0d19686a990d00896afbdf6aef4",
-        "ed510c0632a60ed5c8c479506cf3607141e7ae35120064c93cfe94545fb7fe92",
-        "d29afb4b734d8ab1632b79442a2f16468433609c9ee25dca01eae66d2d05509e",
-        "329ff6d86693a37329043c3b34e7367d2c9cb0cae32601cd6636b87500f7983e",
-        "1464df667203c9740d1584309bda02761b56230a145298e51e58ebd71cbee0f7",
-        "1c01736cb5387e1490e6fdb9a72684095769c550dd74341fdce65c5a6b44222b",
+        "ac6e4a1559c8db2e6f31a4c3481b30a864208c8539515cb65c32f650abba42e2",
+        "7f84c1af5205d0a4ee9759892e0865b969f339c7be018201f80745ff2ec8030a",
+        "46ee58c720ed8cfd13af4dba9e9b6b8214b4d221f1ee38348cf14fb0b88fa656",
+        "e296d9efc22677b9f605564bf1471541895e7ec3d4a9a9b1e14f44c9eb52dae5",
+        "af3633f3a513eb6c11a6e7edc025745c456628b6911348af18cb42da3519547d",
+        "b2a7e453e001a06112e66eb912347c5017d2b81006a456982d9bdb9bdce5fa70",
+        "6204f9ee186056f02839c04757c05c72c1bfce199469927d6065405d435cd1ef",
+        "2b141d13ea6c53de82935cb34b6d7f6be6acfa0f330950d12d2d1fb12b132a56",
+        "05ffc1013f642e8adfb3bc06f3765f06bbbc8f4604a87bc946ab33aee39bb2f9",
+        "014208fd089f18c25ff91123993518d39b0ed1fa392083f0fe37157c1d6e2c94",
     ),
 }
 
@@ -324,12 +330,12 @@ class TestPlayGame:
     def test_deterministic(self):
         a = play_game(GameConfig(k=2, n=4), 123)
         b = play_game(GameConfig(k=2, n=4), 123)
-        assert a.to_json() == b.to_json()
+        assert a is not b and a == b
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_transcript_bytes_pinned(self, k):
         for seed, digest in enumerate(TRANSCRIPT_SHA256[k]):
-            assert hashlib.sha256(play_game(GameConfig(k=k, n=4), seed).to_json().encode()).hexdigest() == digest
+            assert hashlib.sha256(repr(play_game(GameConfig(k=k, n=4), seed)).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_draws_one_code_per_spin(self, k):
@@ -359,12 +365,6 @@ class TestPlayGame:
         tr = play_game(cfg, ScriptedSource([1]))
         assert tr.terminal == "won:0" and tr.duration == 1
 
-    def test_json_roundtrip_and_replay(self):
-        tr = play_game(GameConfig(k=3, n=3), 7)
-        back = Transcript.from_json(tr.to_json())
-        assert back.to_json() == tr.to_json()
-        assert back.replay_matches()
-
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -386,17 +386,6 @@ def test_conservation_and_monotone_alive(k, n, seed):
         assert all(s >= 0 for s in state.stacks)
         assert state.pot >= 1  # pot emptiness never survives a spin
         prev_alive = state.alive
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    k=st.integers(min_value=2, max_value=4),
-    n=st.integers(min_value=1, max_value=5),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-def test_transcript_replay_property(k, n, seed):
-    tr = play_game(GameConfig(k=k, n=n), seed)
-    assert tr.replay_matches()
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +457,12 @@ def reference_apply_spin(state: GameState, outcome: Spin | int) -> tuple[GameSta
     elif outcome is Spin.GANZ:
         stacks[spinner] += pot
         pot = 0
-    elif outcome is Spin.HALB:
-        taken, remaining = halb_split(pot)
+    elif outcome is Spin.HALB:  # the smaller half to the spinner
+        if pot < 0:
+            raise ValueError("pot must be nonnegative")
+        taken = pot // 2
         stacks[spinner] += taken
-        pot = remaining
+        pot -= taken
     else:  # SHTEL
         if cfg.overdraft or stacks[spinner] >= 1:
             stacks[spinner] -= 1
@@ -571,4 +562,4 @@ def test_apply_spin_matches_reference(case):
 def test_play_game_matches_reference(k):
     for seed in range(200):
         config = GameConfig(k=k, n=1 + seed % 5)
-        assert play_game(config, seed).to_json() == reference_play_game(config, seed).to_json()
+        assert play_game(config, seed) == reference_play_game(config, seed)
