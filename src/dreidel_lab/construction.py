@@ -220,10 +220,6 @@ class LowEpochCount:
     bound: int
     by_epochs: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def bound_holds(self) -> bool:
-        return self.low_epoch_games <= self.bound
-
 
 def low_epoch_bound(k: int, s: int, t_s: int) -> int:
     return 4 ** (s * (k - 1)) * sum(math.comb(s, r) * 3 ** (s - r) for r in range(t_s))

@@ -181,7 +181,7 @@ def random_gamelet(k: int, p: int, rng) -> list[int]:
     return codes
 
 
-def concat_check(k: int, p: int, n_tuples: int, rng, pool_size: int = 4000) -> BoundReport:
+def concat_check(k: int, p: int, n_tuples: int, rng, pool_size: int) -> BoundReport:
     """Sample signature-matched k-tuples of gamelets and verify that each
     concatenation is legal and zero-payoff for every player.
 

@@ -363,7 +363,6 @@ class ScalingRow:
 
 @dataclass
 class ScalingFit:
-    k: int
     mode: str
     rows: list[ScalingRow] = field(default_factory=list)
     slope: float = float("nan")
@@ -384,7 +383,7 @@ def scaling_report(
     """
     if len(set(ns)) < 2:
         raise ValueError("need at least two distinct n values")
-    fit = ScalingFit(k=k, mode=mode)
+    fit = ScalingFit(mode=mode)
     means = []
     for n in ns:
         if mode == "exact":

@@ -3,6 +3,7 @@
 import difflib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,39 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err == "error: SolverError: rational solution fails its integer certificate in row 0\n"
+
+    def test_unstable_bound_quantities_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hitting_bounds, "MAX_DOUBLINGS", 1)
+        code, _ = run(tmp_path, ["bounds", "--n", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: TruncationError: quantities unstable after cap 16\n"
+
+    def test_solve_residual_above_tolerance_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solvers, "RESIDUAL_TOL", -1.0)
+        args = ["hitprob", "--n", "3", "--y1", "2", "--z1", "1", "--y2", "3", "--z2", "1", "--y3", "1", "--z3", "1"]
+        code, _ = run(tmp_path, args)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: SolverError: linear solve residual \S+ above tolerance .*\n", err)
+
+    def test_negative_stationary_entry_exits_3(self, tmp_path, capsys, monkeypatch):
+        factor = kernels.splu
+
+        class Negated:
+            def __init__(self, a):
+                self.lu = factor(a)
+
+            def solve(self, b):
+                x = self.lu.solve(b)
+                x[0] = -1.0
+                return x
+
+        monkeypatch.setattr(kernels, "splu", Negated)
+        code, _ = run(tmp_path, ["pot-chain", "--xmax", "20"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: SolverError: stationary law: entry \S+ is not a probability\n", err)
 
     def test_singular_stationary_system_exits_3(self, tmp_path, capsys, monkeypatch):
         def singular(*a, **kw):

@@ -80,7 +80,7 @@ class TestRunEpoch:
 
     def test_requires_boundary(self):
         state = overdraft_start(2, 4)
-        state, _ = __import__("dreidel_lab").apply_spin(state, Spin.NISHT)
+        state, _ = game.apply_spin(state, Spin.NISHT)
         with pytest.raises(EpochBoundaryError):
             run_epoch(state, make_generator(0))
 

@@ -184,6 +184,15 @@ class TestConcat:
         rep = gl.concat_check(k, p, 30, make_generator(1), pool_size=600)
         assert rep.ok, str(rep)
 
+    def test_mismatched_signatures_fail(self, monkeypatch):
+        assert gl.concat_check(2, 1, 50, make_generator(1), pool_size=200).ok
+        # one bucket for every gamelet: the tuples no longer match
+        monkeypatch.setattr(gl, "gamelet_signature", lambda k, g: (0,) * (k - 1))
+        rep = gl.concat_check(2, 1, 50, make_generator(1), pool_size=200)
+        assert not rep.ok
+        (row,) = rep.failures
+        assert (row.name, row.measured) == ("illegal or nonzero-payoff concatenations", 38.0)
+
     def test_same_gamelet_twice(self):
         k, p = 2, 2
         g = gl.random_gamelet(k, p, make_generator(9))

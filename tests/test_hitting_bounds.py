@@ -25,6 +25,15 @@ class TestStableQuantities:
         b, _, _ = hb.stable_quantities(3)
         assert a == b
 
+    @pytest.mark.parametrize("flavor", ["game", "formal"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_n_doubles_more_than_once(self, n, flavor):
+        # from 8n the cap doubles to 64: three times at n = 1, twice at n = 2
+        _, p_max, drift = hb.stable_quantities(n, flavor)
+        assert p_max == 64
+        assert drift < hb.CAP_TOL
+        assert hb.bound_tables(n, flavor).ok
+
 
 class TestBoundTables:
     @pytest.mark.parametrize("n", [3, 4])

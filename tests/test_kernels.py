@@ -370,9 +370,13 @@ class TestValidate:
 
 def test_kernels_do_not_load_montecarlo():
     """The kernels take their array engine from `game`, so importing them
-    pulls in no Monte Carlo code."""
+    pulls in no Monte Carlo code.  The package root imports nothing, so
+    the modules loaded are exactly the root, `kernels` and what it
+    imports, `game` and `rng`; a root that re-exported from `epochs`
+    would load `epochs` too."""
     src = str(Path(dreidel_lab.__file__).resolve().parents[1])
-    code = "import sys, dreidel_lab.kernels; print('dreidel_lab.montecarlo' in sys.modules)"
+    code = ("import sys, dreidel_lab.kernels; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dreidel_lab'))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == str(["dreidel_lab", "dreidel_lab.game", "dreidel_lab.kernels", "dreidel_lab.rng"]) + "\n"
