@@ -4,12 +4,18 @@ The scalar engine is pure: a GameState is an immutable value, a named
 tuple like the StepEvent and TranscriptEntry records, and apply_spin
 maps (state, outcome) to a new state plus the events that fired.  It
 plays single games and is the oracle the tests check the array engine
-against.  The array engine, `SpinBatch`, spins many games in lockstep.
-The Monte Carlo samplers run on it, and so do the Markov kernels,
-through `spin_each_outcome`, which spins a grid of games once under each
-forced outcome; one such batch makes `overdraft_steps`, the
-step table of the overdraft chains and the exact DPs.  In both modes a
-spin conserves tokens: pot + sum of stacks keeps its starting value.
+against.  The array engine, `SpinBatch`, spins many games in lockstep;
+the duration sampler runs on it at k >= 3.  `spin_each_outcome` spins
+a grid of games once under each forced outcome in one batch.  The game
+chain reads that batch directly, and two step tables are made from it,
+for where a spin's effect depends on a small state:
+  * `overdraft_steps`, by pot: the overdraft chains (pot and mod-Lambda),
+    the exact DPs (gamelets, the low-epoch count, construction) and the
+    epoch sampler read it;
+  * `fold_steps`, by (pot, stack of the player on turn), two players:
+    the duration chain and the k = 2 duration sampler read it.
+In both modes a spin conserves tokens: pot + sum of stacks keeps its
+starting value.
 """
 
 from __future__ import annotations
@@ -318,9 +324,9 @@ class SpinBatch:
         self.games = self.games.take(cols)
         return cols
 
-    def held(self, seat=slice(None)) -> np.ndarray:
-        """The tokens `seat` holds in each game (every seat's, by default)."""
-        return self.stacks[seat] - self.antes
+    def held(self) -> np.ndarray:
+        """The tokens each seat holds in each game."""
+        return self.stacks - self.antes
 
 
 def spin_each_outcome(k: int, pot, stacks, overdraft: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,6 +357,22 @@ def overdraft_steps(k: int, cap: int) -> np.ndarray:
     steps = np.stack([pot, held[:, 0] + ante, ante]).T
     steps.flags.writeable = False
     return steps
+
+
+def fold_steps(n: int) -> np.ndarray:
+    """Every two-player spin of the plain game with n tokens each, as the
+    fold of the players' swap symmetry sees it: state code
+    c = (pot - 1)(2n + 1) + y, with y the stack of the player on turn, for
+    pots 1..2n and y in 0..2n, and steps[o, c] is the code after outcome
+    o, seen from the other player, who is on turn next, or 2n(2n + 1),
+    "game over", once either player is out.  Codes with pot + y > 2n are
+    not dreidel states and are never reached from the start, pot 2 and
+    y = n - 1.  Not cached: over many n the tables add up, and one is
+    quick to make."""
+    side = 2 * n + 1
+    x, y = (v.ravel() for v in np.meshgrid(np.arange(1, 2 * n + 1), np.arange(side), indexing="ij"))
+    pot, held, alive = spin_each_outcome(2, x, np.stack([y, 2 * n - x - y]), overdraft=False)
+    return np.where(alive.all(axis=1), (pot - 1) * side + held[:, 1], x.size)
 
 
 @cache

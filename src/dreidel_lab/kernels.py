@@ -10,12 +10,13 @@ Four chains are built here:
     spin; "game" updates the second coordinate only on P1's spins and on
     antes.
 
-Each kernel is one CSR matrix over its numbered states.  The game and
-duration chains spin their whole state grid once under each forced
-outcome through `game.spin_each_outcome`, one batch of `game.SpinBatch`
-with the spinner on seat 0; the two overdraft chains, pot and mod-Lambda,
-read the step table `game.overdraft_steps`.  The tests check every row
-against the scalar engine `game.apply_spin`.
+Each kernel is one CSR matrix over its numbered states.  The game chain
+spins its whole state grid once under each forced outcome through
+`game.spin_each_outcome`, one batch of `game.SpinBatch` with the spinner
+on seat 0; the duration chain reads the fold's step table
+`game.fold_steps`, made the same way, and the two overdraft chains, pot
+and mod-Lambda, read the step table `game.overdraft_steps`.  The tests
+check every row against the scalar engine `game.apply_spin`.
 
 `diagnostics` takes the period from one compiled BFS and the stationary
 law from one sparse LU.
@@ -36,7 +37,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import splu
 
-from .game import overdraft_steps, spin_each_outcome
+from .game import fold_steps, overdraft_steps, spin_each_outcome
 
 P_LOSS_1 = ("loss", 1)  # P1 eliminated: P2 wins
 P_LOSS_2 = ("loss", 2)
@@ -212,11 +213,7 @@ def build_duration_chain(n: int) -> SparseKernel:
         raise ValueError("n >= 1 required")
     side = 2 * n + 1
     x, a = (v.ravel() for v in np.meshgrid(np.arange(1, 2 * n + 1), np.arange(side), indexing="ij"))
-    pot, held, alive = spin_each_outcome(2, x, np.stack([a, 2 * n - x - a]), overdraft=False)
-    # grid points with x + a > 2n are never reached, so their codes are never
-    # read; the successor's player on turn sits on seat 1
-    succ = np.where(alive.all(axis=1), (pot - 1) * side + held[:, 1], x.size)
-    return _reachable_kernel((x, a), succ, side + n - 1, [GAME_OVER])  # from (2, n - 1)
+    return _reachable_kernel((x, a), fold_steps(n), side + n - 1, [GAME_OVER])  # from (2, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Monte Carlo estimators and bound-check reports for the epoch analysis.
 
-Every sampler runs on the array engine `game.SpinBatch`, which spins
-many games in lockstep for any number of players; the samplers add only
-their stop rules.  Epochs of the free-running overdraft process are
-independent (the pot returns to k at every boundary and stacks are
-unbounded), so a batch of epochs has the same law as a consecutive run.
+The samplers spin many games in lockstep, off a step table wherever a
+spin's effect depends on a small state: overdraft epochs a round at a
+time off `game.overdraft_steps` (by pot), and two-player durations off
+the fold's `game.fold_steps` (by pot and the stack of the player on
+turn).  Durations at k >= 3 run on the array engine `game.SpinBatch`.
+Each sampler draws the outcomes the array engine would draw, in the same
+order, so its results are the array engine's, bit for bit.  Epochs of
+the free-running overdraft process are independent (the pot returns to
+k at every boundary and stacks are unbounded), so a batch of epochs has
+the same law as a consecutive run.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import game
 from .epochs import window_side
-from .game import GameConfig, SpinBatch, SpinCapExceeded
+from .game import GameConfig, SpinBatch, SpinCapExceeded, fold_steps, overdraft_steps
 from .reporting import BoundReport
 from .rng import GANZ, SHTEL, make_generator
 from .solvers import exact_mean_duration
@@ -47,28 +52,43 @@ def _chunks(seed: int, draws: int) -> list[tuple[np.random.Generator, int]]:
 
 def _run_epochs(k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """m independent overdraft epochs, each ended by the last seat's Ganz;
-    returns (last player's payoff, length, landslide)."""
-    batch = SpinBatch(k, m, 0, overdraft=True)
+    returns (last player's payoff, length, landslide).
+
+    A round draws the k seats' outcomes for every live epoch in one call,
+    the same stream as k draws of one per epoch, and spins them through
+    `overdraft_steps`: an overdraft spin depends on the pot alone.  The
+    pot is carried as 4·pot, the table's row offset, so a spin is one add
+    and one `take`.  The last seat gains on its own spins and pays one
+    ante on every Ganz of the round, its own included."""
     y = np.zeros(m, dtype=np.int64)
     lengths = np.zeros(m, dtype=np.int64)
     landslide = np.zeros(m, dtype=bool)
-    first_shtels = np.ones(m, dtype=bool)
-    spins = 0
-    while batch.games.size:
-        o = batch.step(rng)
-        spins += 1
-        if spins < k:
-            first_shtels &= o == SHTEL
-        if batch.seat:
-            continue
-        done = o == GANZ  # the last seat has just spun
+    q = np.full(m, 4 * k, dtype=np.int64)  # 4·pot per live epoch
+    held = np.zeros(m, dtype=np.int64)  # the last seat's tokens
+    games = np.arange(m)
+    r = cap = 0
+    while games.size:
+        # after r rounds the pot is at most k(r + 1), so round r reads rows below k(r + 2)
+        if k * (r + 2) > cap:
+            cap = 2 * k * (r + 2)
+            steps = overdraft_steps(k, cap)
+            after, gain = 4 * steps[:, :, 0].ravel(), steps[:, :, 1].ravel()
+        o = rng.integers(0, 4, size=k * games.size).reshape(k, games.size)
+        for seat in range(k - 1):
+            q = after.take(q + o[seat])
+        q += o[k - 1]
+        held += gain.take(q) - np.count_nonzero(o == GANZ, axis=0)
+        q = after.take(q)
+        done = o[k - 1] == GANZ
         ended = np.flatnonzero(done)
-        idx = batch.games.take(ended)
-        y[idx] = batch.held(k - 1).take(ended)
-        lengths[idx] = spins
-        if spins == k:
-            landslide[idx] = first_shtels.take(ended)
-        batch.keep(~done)
+        idx = games.take(ended)
+        y[idx] = held.take(ended)
+        lengths[idx] = k * (r + 1)
+        if r == 0:
+            landslide[idx] = (o[:k - 1, ended] == SHTEL).all(axis=0)
+        cols = np.flatnonzero(~done)
+        q, held, games = q.take(cols), held.take(cols), games.take(cols)
+        r += 1
     return y, lengths, landslide
 
 
@@ -177,6 +197,8 @@ def _duration_chunk(args) -> np.ndarray:
     """Spin counts of m plain-dreidel games, each run until at most one
     player is left."""
     config, rng, m = args
+    if config.k == 2:
+        return _fold_durations(config.n, m, rng)
     batch = SpinBatch(config.k, m, config.n - 1, overdraft=False)
     out = np.zeros(m, dtype=np.int64)
     spins = np.zeros(m, dtype=np.int64)
@@ -191,6 +213,31 @@ def _duration_chunk(args) -> np.ndarray:
         if done.any():
             out[batch.games[done]] = spins[done]
             spins = spins.take(batch.keep(~done))
+    return out
+
+
+def _fold_durations(n: int, m: int, rng) -> np.ndarray:
+    """`_duration_chunk` at k = 2, on the fold's step table
+    `game.fold_steps`: both players are in every live game, so every game
+    spins on every step, in column order as in `SpinBatch`, and a game's
+    spin count is the step at which it reaches the end code.  The state
+    is carried as 4·code, the row offset of the transposed table."""
+    after = 4 * fold_steps(n).T.ravel()
+    end = after.size  # 4 · the "game over" code
+    out = np.zeros(m, dtype=np.int64)
+    q = np.full(m, 4 * (2 * n + 1 + n - 1), dtype=np.int64)  # pot 2, n - 1 held by each
+    games = np.arange(m)
+    steps = 0
+    while games.size:
+        if steps >= game.SPIN_CAP:  # every live game has spun once per step
+            raise SpinCapExceeded(f"game exceeded {game.SPIN_CAP} spins")
+        q = after.take(q + rng.integers(0, 4, size=games.size))
+        steps += 1
+        done = q == end
+        if done.any():
+            out[games[done]] = steps
+            cols = np.flatnonzero(~done)
+            q, games = q.take(cols), games.take(cols)
     return out
 
 
@@ -340,7 +387,7 @@ class GanzWaitEstimate(Estimate):
 
 def ganz_wait(trials: int, seed: int) -> GanzWaitEstimate:
     """Mean number of spins until a seat's first Ganz (geometric, p = 1/4),
-    read off the array engine: a k = 2 epoch lasts until the last seat's
+    read off the epoch sampler: a k = 2 epoch lasts until the last seat's
     first Ganz, so it is that many rounds of two spins."""
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from dreidel_lab import game, montecarlo as mc
 from dreidel_lab.epochs import new_custom, run_epoch, is_landslide
-from dreidel_lab.game import GameConfig, SpinCapExceeded, apply_spin, new_game, play_game
-from dreidel_lab.rng import make_generator
+from dreidel_lab.game import GameConfig, SpinBatch, SpinCapExceeded, apply_spin, new_game, play_game
+from dreidel_lab.rng import GANZ, SHTEL, ScriptedSource, make_generator
 
 
 def scalar_epoch_sample(k, m, seed):
@@ -175,7 +175,7 @@ class TestDurations:
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_spin_batch_conserves_tokens(k, n, m, seed):
-    batch = mc.SpinBatch(k, m, n - 1, overdraft=False)
+    batch = SpinBatch(k, m, n - 1, overdraft=False)
     rng = make_generator(seed)
     while batch.pot.size:
         before = batch.alive.copy()
@@ -192,7 +192,7 @@ def test_spin_batch_keeps_game_numbers():
     # games[j] stays the starting number of the game in column j as `keep`
     # drops columns; each pot is marked with that number to follow the column
     rng = np.random.default_rng(3)
-    batch = mc.SpinBatch(3, 50, 2, overdraft=False)
+    batch = SpinBatch(3, 50, 2, overdraft=False)
     batch.pot[:] = np.arange(50)
     survivors = np.arange(50)
     for _ in range(6):
@@ -222,7 +222,7 @@ def test_spin_batch_keep_matches_mask_indexing(k, overdraft):
     pick = np.random.default_rng(k)
     masks = [np.ones(m, bool), np.zeros(m, bool), np.arange(m) == 17, pick.random(m) < 0.6]
     for rows in masks:
-        batch = mc.SpinBatch(k, m, 2, overdraft)
+        batch = SpinBatch(k, m, 2, overdraft)
         rng = make_generator(k, int(overdraft))
         for _ in range(3 * k):  # so that stacks, antes and seats differ by game
             batch.step(rng)
@@ -247,7 +247,7 @@ def test_spin_batch_matches_apply_spin_game_by_game(k):
     n, m = 3, 40
     mixed = 0
     for seed in range(5):
-        batch = mc.SpinBatch(k, m, n - 1, overdraft=False)
+        batch = SpinBatch(k, m, n - 1, overdraft=False)
         states = [new_game(GameConfig(k=k, n=n))] * m
         rng = make_generator(seed)
         while states:
@@ -269,6 +269,140 @@ def test_spin_batch_matches_apply_spin_game_by_game(k):
             states = [s for s, r in zip(states, rows) if r]
             batch.keep(rows)
     assert mixed > 0  # steps where the seat spun in some games and sat out others
+
+
+# ---------------------------------------------------------------------------
+# the samplers as they ran on the array engine, kept as oracles for the
+# step-table samplers
+
+
+def batch_epochs(k, m, rng):
+    """`_run_epochs` on `SpinBatch`, one seat's spin per step."""
+    batch = SpinBatch(k, m, 0, overdraft=True)
+    y = np.zeros(m, dtype=np.int64)
+    lengths = np.zeros(m, dtype=np.int64)
+    landslide = np.zeros(m, dtype=bool)
+    first_shtels = np.ones(m, dtype=bool)
+    spins = 0
+    while batch.games.size:
+        o = batch.step(rng)
+        spins += 1
+        if spins < k:
+            first_shtels &= o == SHTEL
+        if batch.seat:
+            continue
+        done = o == GANZ  # the last seat has just spun
+        ended = np.flatnonzero(done)
+        idx = batch.games.take(ended)
+        y[idx] = batch.held()[k - 1].take(ended)
+        lengths[idx] = spins
+        if spins == k:
+            landslide[idx] = first_shtels.take(ended)
+        batch.keep(~done)
+    return y, lengths, landslide
+
+
+def batch_durations(args):
+    """`_duration_chunk` on `SpinBatch`, as it still runs at k >= 3."""
+    config, rng, m = args
+    batch = SpinBatch(config.k, m, config.n - 1, overdraft=False)
+    out = np.zeros(m, dtype=np.int64)
+    spins = np.zeros(m, dtype=np.int64)
+    steps = 0
+    while batch.games.size:
+        # no game has spun more often than the batch has stepped
+        if steps >= game.SPIN_CAP and spins.max() >= game.SPIN_CAP:
+            raise SpinCapExceeded(f"game exceeded {game.SPIN_CAP} spins")
+        spins += batch.step(rng) >= 0
+        steps += 1
+        done = batch.live <= 1
+        if done.any():
+            out[batch.games[done]] = spins[done]
+            spins = spins.take(batch.keep(~done))
+    return out
+
+
+ORACLE_SIZES = (1, 5, 7, 999, 1000, 3000, 32768)
+
+
+class CountingSource:
+    """A generator that counts its `integers` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, low, high, size=None):
+        self.calls += 1
+        return self.rng.integers(low, high, size=size)
+
+
+class TestStepTableSamplers:
+    """The step-table samplers give what the array engine gives, bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_epochs_match_batch_oracle(self, k):
+        for m in ORACLE_SIZES:
+            got = mc._run_epochs(k, m, make_generator(k, m))
+            want = batch_epochs(k, m, make_generator(k, m))
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), m
+
+    @pytest.mark.parametrize("k, n, w0, runs", [(2, 4, 3, 5000), (3, 4, 4, 3000)])
+    def test_stopping_matches_batch_oracle(self, k, n, w0, runs, monkeypatch):
+        got = mc.sample_stopping(k, n, w0, runs, seed=7)
+        monkeypatch.setattr(mc, "_run_epochs", batch_epochs)
+        want = mc.sample_stopping(k, n, w0, runs, seed=7)
+        for name in ("t", "s_t", "u", "side_upper"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 15])
+    def test_durations_match_batch_oracle(self, n):
+        cfg = GameConfig(k=2, n=n)
+        for m in ORACLE_SIZES if n <= 4 else ORACLE_SIZES[:-1]:
+            got = mc._duration_chunk((cfg, make_generator(n, m), m))
+            want = batch_durations((cfg, make_generator(n, m), m))
+            assert got.dtype == want.dtype and np.array_equal(got, want), m
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_epoch_table_grows_from_the_round_bound(self, k, monkeypatch):
+        # 30 rounds of Shtels, then the last seat's Ganz: the pot climbs to
+        # 31k, past three table sizes
+        caps = []
+
+        def counting_steps(k, cap):
+            caps.append(cap)
+            return game.overdraft_steps(k, cap)
+
+        monkeypatch.setattr(mc, "overdraft_steps", counting_steps)
+        codes = [SHTEL] * (31 * k - 1) + [GANZ]
+        y, lengths, landslide = mc._run_epochs(k, 1, ScriptedSource(codes))
+        assert len(caps) >= 4 and caps == sorted(set(caps))
+        record, _ = run_epoch(new_custom([0] * k, GameConfig(k=k, n=1, overdraft=True)), ScriptedSource(codes))
+        assert y.tolist() == [record.payoff[k - 1]]
+        assert lengths.tolist() == [record.spins_in_epoch] == [31 * k]
+        assert landslide.tolist() == [False]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_one_draw_per_round(self, k):
+        source = CountingSource(make_generator(k))
+        _, lengths, _ = mc._run_epochs(k, 1000, source)
+        assert source.calls == lengths.max() // k
+
+    def test_one_draw_per_step_at_k2(self):
+        source = CountingSource(make_generator(2))
+        out = mc._duration_chunk((GameConfig(k=2, n=5), source, 1000))
+        assert source.calls == out.max()
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (3, 8), (7, 1000), (999, 4), (32768, 65536)])
+def test_round_draw_is_the_seats_draws_in_turn(a, b):
+    # `_run_epochs` draws a round's k seats at once: numpy fills a bounded
+    # draw element by element, so one draw of a + b is a draw of a, then b
+    for seed in range(3):
+        whole = make_generator(seed).integers(0, 4, size=a + b)
+        rng = make_generator(seed)
+        parts = np.concatenate([rng.integers(0, 4, size=a), rng.integers(0, 4, size=b)])
+        assert np.array_equal(whole, parts)
 
 
 class TestGanzWait:
