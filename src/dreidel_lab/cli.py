@@ -116,6 +116,8 @@ def cmd_epochs(args) -> int:
 
 
 def cmd_wald(args) -> int:
+    if args.records < 2:  # sample_stopping checks this too, under its parameter's name
+        raise ValueError(f"records must be at least 2, got records={args.records}")
     stats = montecarlo.payoff_sample(args.k, args.epochs, args.seed)
     sample = montecarlo.sample_stopping(args.k, args.n, args.w0, args.records, args.seed + 1)
     report = montecarlo.wald_report(sample, stats)

@@ -128,7 +128,8 @@ def gamelet_signature(k: int, outcomes: list[int]) -> tuple[int, ...]:
     deltas = [0] * k
     for t, o in enumerate(outcomes):
         pot, gain, ante = steps[pot][o]
-        deltas = [d - ante for d in deltas]
+        if ante:  # only a Ganz antes
+            deltas = [d - ante for d in deltas]
         deltas[t % k] += gain
     if sum(deltas) != 0:
         raise AssertionError("gamelet payoffs must be zero-sum")

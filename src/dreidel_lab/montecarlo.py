@@ -9,7 +9,10 @@ Each sampler draws the outcomes the array engine would draw, in the same
 order, so its results are the array engine's, bit for bit.  Epochs of
 the free-running overdraft process are independent (the pot returns to
 k at every boundary and stacks are unbounded), so a batch of epochs has
-the same law as a consecutive run.
+the same law as a consecutive run.  An epoch sample is its counts: the
+epoch sampler folds each chunk of epochs into payoff and length
+histograms before it draws the next, so its memory is bounded by one
+chunk, whatever the number of epochs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,10 +42,25 @@ TAIL_Q_MAX = 15  # epoch-length tails are checked at P(len >= kq+1), q = 0..TAIL
 
 @dataclass
 class EpochSample:
+    """Counts over `count` epochs: `y_counts[i]` epochs paid the last player
+    `lo + i`, and `length_hist[s]` epochs lasted s spins."""
+
     k: int
-    y: np.ndarray          # last player's payoff per epoch
-    lengths: np.ndarray    # spins per epoch
-    landslide: np.ndarray  # bool per epoch
+    count: int
+    lo: int                # the least payoff
+    y_counts: np.ndarray   # int64
+    length_hist: np.ndarray
+    landslide_count: int
+    landslide_payoffs_exact: bool  # every landslide paid the last player 2k - 2
+
+
+def _merge(a: np.ndarray, a_lo: int, b: np.ndarray, b_lo: int) -> tuple[np.ndarray, int]:
+    """Sum of two histograms whose first bins count the values a_lo and b_lo."""
+    lo = min(a_lo, b_lo)
+    out = np.zeros(max(a_lo + a.size, b_lo + b.size) - lo, dtype=np.int64)
+    out[a_lo - lo:a_lo - lo + a.size] += a
+    out[b_lo - lo:b_lo - lo + b.size] += b
+    return out, lo
 
 
 def _chunks(seed: int, draws: int) -> list[tuple[np.random.Generator, int]]:
@@ -92,14 +111,29 @@ def _run_epochs(k: int, m: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return y, lengths, landslide
 
 
-def sample_epochs(k: int, n_epochs: int, seed: int) -> EpochSample:
+def sample_epochs(k: int, epochs: int, seed: int) -> EpochSample:
+    """Counts over `epochs` overdraft epochs, drawn chunk by chunk as
+    `_chunks` splits them; each chunk is folded into the counts before the
+    next is drawn."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got k={k}")
-    if n_epochs < 1:
-        raise ValueError(f"n_epochs must be at least 1, got n_epochs={n_epochs}")
-    parts = [_run_epochs(k, m, rng) for rng, m in _chunks(seed, n_epochs)]
-    y, lengths, landslide = (np.concatenate(a) for a in zip(*parts))
-    return EpochSample(k=k, y=y, lengths=lengths, landslide=landslide)
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got epochs={epochs}")
+    sample = None
+    for rng, m in _chunks(seed, epochs):
+        y, lengths, landslide = _run_epochs(k, m, rng)
+        lo = int(y.min())
+        y_counts, length_hist = np.bincount(y - lo), np.bincount(lengths)
+        ls_count = int(np.count_nonzero(landslide))
+        exact = bool(np.all(y[landslide] == 2 * k - 2))
+        if sample is not None:
+            y_counts, lo = _merge(sample.y_counts, sample.lo, y_counts, lo)
+            length_hist, _ = _merge(sample.length_hist, 0, length_hist, 0)
+            ls_count += sample.landslide_count
+            exact &= sample.landslide_payoffs_exact
+            m += sample.count
+        sample = EpochSample(k, m, lo, y_counts, length_hist, ls_count, exact)
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -122,29 +156,36 @@ class PayoffStats:
 
     @classmethod
     def from_sample(cls, sample: EpochSample) -> "PayoffStats":
-        y = sample.y.astype(np.float64)
-        mean = float(y.mean())
-        m2 = float((y**2).mean())
-        var = m2 - mean**2
-        lo = sample.y.min()
-        vals = np.arange(lo, sample.y.max() + 1, dtype=np.float64)  # the values y takes
-        at = sample.y - lo  # each epoch's index into vals
-        m4 = float((vals**4).take(at).mean())  # one pow per value, the floats of y**4
-        m4c = float(((vals - mean) ** 4).take(at).mean())
-        ls = sample.landslide
-        exact = bool(np.all(sample.y[ls] == 2 * sample.k - 2)) if ls.any() else True
+        """Moments off the payoff counts, from the exact power sums
+        S_j = sum of y**j: mean = S1/N, E(Y^2) = S2/N and E(Y^4) = S4/N, each
+        correctly rounded.  These are the floats of summing the epochs' y,
+        y**2 and y**4 in float64 wherever that sum is exact, i.e. every
+        partial sum is below 2**53: at k = 4, E(Y^4) is about 350, so up to
+        about 2e13 epochs.  `central_m4` is the correctly rounded exact
+        E((Y - S1/N)^4); a float sum over the epochs differs from it only by
+        rounding, which reaches the last digits of the bound `wald_report`
+        prints for the second Wald identity (3 SE, through `se_variance`)."""
+        n = sample.count
+        values = range(sample.lo, sample.lo + sample.y_counts.size)
+        counts = [(v, c) for v, c in zip(values, sample.y_counts.tolist()) if c]
+        s1 = sum(c * v for v, c in counts)
+        mean = s1 / n
+        m2 = sum(c * v * v for v, c in counts) / n
+        m4c = Fraction(sum(c * (n * v - s1) ** 4 for v, c in counts), n**5)
+        abs_y_hist = np.zeros(max(-sample.lo, values[-1]) + 1, dtype=np.int64)
+        np.add.at(abs_y_hist, np.abs(np.arange(sample.lo, values.stop)), sample.y_counts)
         return cls(
             k=sample.k,
-            count=len(y),
+            count=n,
             mean=mean,
             second_moment=m2,
-            variance=var,
-            fourth_moment=m4,
-            central_m4=m4c,
-            abs_y_hist=np.bincount(np.abs(sample.y)),
-            length_hist=np.bincount(sample.lengths),
-            landslide_count=int(ls.sum()),
-            landslide_payoffs_exact=exact,
+            variance=m2 - mean**2,
+            fourth_moment=sum(c * v**4 for v, c in counts) / n,
+            central_m4=float(m4c),
+            abs_y_hist=abs_y_hist,
+            length_hist=sample.length_hist,
+            landslide_count=sample.landslide_count,
+            landslide_payoffs_exact=sample.landslide_payoffs_exact,
         )
 
     @property
@@ -188,9 +229,13 @@ class Estimate:
 
 def _estimate(values: np.ndarray) -> Estimate:
     """Mean, its standard error (NaN for one value) and the Z99 interval."""
-    mean = float(values.mean())
-    se = float(values.std(ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else float("nan")
-    return Estimate(len(values), mean, se, (mean - Z99 * se, mean + Z99 * se))
+    std = float(values.std(ddof=1)) if len(values) > 1 else float("nan")
+    return _interval(len(values), float(values.mean()), std)
+
+
+def _interval(n: int, mean: float, std: float) -> Estimate:
+    se = std / math.sqrt(n)
+    return Estimate(n, mean, se, (mean - Z99 * se, mean + Z99 * se))
 
 
 def _duration_chunk(args) -> np.ndarray:
@@ -391,8 +436,12 @@ def ganz_wait(trials: int, seed: int) -> GanzWaitEstimate:
     first Ganz, so it is that many rounds of two spins."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    waits = sample_epochs(2, trials, seed).lengths // 2
-    return GanzWaitEstimate(**vars(_estimate(waits)), counts=tuple(int(c) for c in np.bincount(waits)))
+    counts = sample_epochs(2, trials, seed).length_hist[::2].tolist()  # counts[w]: epochs of w rounds
+    s1 = sum(c * w for w, c in enumerate(counts))
+    # the sample variance, exact: sum of c (trials·w - s1)^2 over trials^2 (trials - 1)
+    ss = sum(c * (trials * w - s1) ** 2 for w, c in enumerate(counts))
+    std = math.sqrt(Fraction(ss, trials**2 * (trials - 1))) if trials > 1 else float("nan")
+    return GanzWaitEstimate(**vars(_interval(trials, s1 / trials, std)), counts=tuple(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args, name",
         [
-            (["epochs", "--epochs", "0"], "n_epochs"),
+            (["epochs", "--epochs", "0"], "epochs"),
             (["epochs", "--k", "1", "--epochs", "10"], "k"),
-            (["wald", "--records", "0", "--epochs", "100"], "runs"),
-            (["wald", "--records", "1", "--epochs", "100"], "runs"),
+            (["wald", "--records", "0", "--epochs", "100"], "records"),
+            (["wald", "--records", "1", "--epochs", "100"], "records"),
             (["simulate", "--n", "3", "--trials", "0"], "trials"),
         ],
     )
@@ -55,7 +55,8 @@ class TestExitCodes:
         code, _ = run(tmp_path, args)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{name}=" in err
+        # the message names the flag the user typed
+        assert err.startswith(f"error: {name} must be at least ") and f"{name}=" in err
 
     @pytest.mark.parametrize(
         "module, attr, exc, args",

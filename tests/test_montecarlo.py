@@ -2,6 +2,8 @@
 
 import copy
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +28,42 @@ def scalar_epoch_sample(k, m, seed):
     return np.array(ys), np.array(lengths), np.array(landslides)
 
 
+def array_epochs(k, n, seed):
+    """`sample_epochs` as it first ran: every chunk's epochs, concatenated
+    into (payoff, length, landslide) arrays."""
+    parts = [mc._run_epochs(k, m, rng) for rng, m in mc._chunks(seed, n)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def array_payoff_stats(k, y, lengths, landslide):
+    """`PayoffStats.from_sample` as it first ran, on the epochs' arrays."""
+    yf = y.astype(np.float64)
+    mean = float(yf.mean())
+    m2 = float((yf**2).mean())
+    vals = np.arange(y.min(), y.max() + 1, dtype=np.float64)
+    at = y - y.min()
+    exact = bool(np.all(y[landslide] == 2 * k - 2)) if landslide.any() else True
+    return mc.PayoffStats(
+        k=k,
+        count=len(y),
+        mean=mean,
+        second_moment=m2,
+        variance=m2 - mean**2,
+        fourth_moment=float((vals**4).take(at).mean()),
+        central_m4=float(((vals - mean) ** 4).take(at).mean()),
+        abs_y_hist=np.bincount(np.abs(y)),
+        length_hist=np.bincount(lengths),
+        landslide_count=int(landslide.sum()),
+        landslide_payoffs_exact=exact,
+    )
+
+
+def exact_central_m4(y):
+    """E((Y - mean)^4) about the exact sample mean, as a Fraction."""
+    n, s1 = len(y), int(y.sum())
+    return Fraction(sum((n * v - s1) ** 4 for v in y.tolist()), n**5)
+
+
 class TestEpochBatchOracle:
     """The vectorized epoch engine must match the scalar engine in law."""
 
@@ -33,26 +71,67 @@ class TestEpochBatchOracle:
     def test_moments_match_scalar(self, k):
         m = 30_000
         y_ref, len_ref, ls_ref = scalar_epoch_sample(k, m, seed=11)
-        sample = mc.sample_epochs(k, m, seed=12)
+        y, lengths, landslide = array_epochs(k, m, seed=12)
         # means agree within 5 combined standard errors
-        for a, b in ((y_ref, sample.y), (len_ref, sample.lengths)):
+        for a, b in ((y_ref, y), (len_ref, lengths)):
             se = math.sqrt(a.var() / m + b.var() / m)
             assert abs(a.mean() - b.mean()) < 5 * se
-        p_ref, p_vec = ls_ref.mean(), sample.landslide.mean()
+        p_ref, p_vec = ls_ref.mean(), landslide.mean()
         se = math.sqrt(2 * 0.25 / m)
         assert abs(p_ref - p_vec) < 5 * se
 
     def test_length_distribution_is_geometric_in_rounds(self):
         # rounds per epoch ~ Geometric(1/4) exactly
-        sample = mc.sample_epochs(2, 50_000, seed=3)
-        rounds = sample.lengths // 2
+        _, lengths, _ = array_epochs(2, 50_000, seed=3)
+        rounds = lengths // 2
         assert rounds.min() >= 1
         p1 = (rounds == 1).mean()
         assert abs(p1 - 0.25) < 5 * math.sqrt(0.25 * 0.75 / 50_000)
 
     def test_landslide_payoffs_exact(self):
-        sample = mc.sample_epochs(3, 20_000, seed=5)
-        assert np.all(sample.y[sample.landslide] == 4)  # 2k-2
+        y, _, landslide = array_epochs(3, 20_000, seed=5)
+        assert landslide.any()
+        assert np.all(y[landslide] == 4)  # 2k-2
+
+
+COUNT_SIZES = (1, 7, mc.CHUNK - 1, mc.CHUNK, mc.CHUNK + 1, 5 * mc.CHUNK + 3)
+
+
+class TestEpochCounts:
+    """The epoch sample as counts gives the statistics of the epochs' arrays."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_stats_match_array_oracle(self, k):
+        for n in COUNT_SIZES:
+            y, lengths, landslide = array_epochs(k, n, seed=n)
+            sample = mc.sample_epochs(k, n, seed=n)
+            assert sample.count == n and sample.lo == y.min()
+            assert sample.y_counts.dtype == np.int64
+            assert np.array_equal(sample.y_counts, np.bincount(y - y.min()))
+            got = mc.PayoffStats.from_sample(sample)
+            want = array_payoff_stats(k, y, lengths, landslide)
+            for name in ("count", "mean", "second_moment", "variance", "fourth_moment",
+                         "landslide_count", "landslide_payoffs_exact"):
+                assert getattr(got, name) == getattr(want, name), (name, n)
+            for name in ("abs_y_hist", "length_hist"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, n)
+            # the central fourth moment is exact; the per-epoch float sum rounds
+            assert got.central_m4 == float(exact_central_m4(y)), n
+            assert got.central_m4 == pytest.approx(want.central_m4, rel=1e-12, abs=0), n
+
+    def test_memory_is_one_chunk(self):
+        # eight times the epochs take no more memory: each chunk is folded
+        # into the counts before the next is drawn
+        peaks = []
+        for chunks in (2, 16):
+            tracemalloc.start()
+            try:
+                mc.sample_epochs(3, chunks * mc.CHUNK, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20, peaks
 
 
 class TestPayoffStats:
@@ -67,12 +146,13 @@ class TestPayoffStats:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_fourth_moments_match_pow(self, k):
-        # the per-value table gives the floats of raising every epoch's y
-        sample = mc.sample_epochs(k, 20_000, seed=k)
-        stats = mc.PayoffStats.from_sample(sample)
-        y = sample.y.astype(np.float64)
-        assert stats.fourth_moment == float((y**4).mean())
-        assert stats.central_m4 == float(((y - stats.mean) ** 4).mean())
+        # the counts give the floats of raising every epoch's y
+        y, _, _ = array_epochs(k, 20_000, seed=k)
+        stats = mc.PayoffStats.from_sample(mc.sample_epochs(k, 20_000, seed=k))
+        yf = y.astype(np.float64)
+        assert stats.fourth_moment == float((yf**4).mean())
+        assert stats.central_m4 == float(exact_central_m4(y))
+        assert stats.central_m4 == pytest.approx(float(((yf - stats.mean) ** 4).mean()), rel=1e-12, abs=0)
 
     def test_tail_ge(self):
         stats = mc.payoff_sample(2, 5000, seed=1)
