@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import game
-from .game import SPIN_BY_CODE, GameState, GameError, Spin, apply_spin, new_custom  # new_custom: re-exported
+from .game import SPIN_BY_CODE, GameState, GameError, Spin, apply_spin, new_custom  # new_custom: re-exported for perfbench
 
 MAX_EPOCHS = 10**7  # run_metaslowdel gives up after this many epochs
 

@@ -4,18 +4,19 @@ The scalar engine is pure: a GameState is an immutable value, a named
 tuple like the StepEvent and TranscriptEntry records, and apply_spin
 maps (state, outcome) to a new state plus the events that fired.  It
 plays single games and is the oracle the tests check the array engine
-against.  The array engine, `SpinBatch`, spins many games in lockstep;
-the duration sampler runs on it at k >= 3.  `spin_each_outcome` spins
-a grid of games once under each forced outcome in one batch.  The game
-chain reads that batch directly, and two step tables are made from it,
-for where a spin's effect depends on a small state:
-  * `overdraft_steps`, by pot: the overdraft chains (pot and mod-Lambda),
-    the exact DPs (gamelets, the low-epoch count, construction) and the
-    epoch sampler read it;
+against.  The array engine, `SpinBatch`, spins many plain games in
+lockstep; the duration sampler runs on it at k >= 3.
+`spin_each_outcome` spins a grid of them once under each forced outcome
+in one batch.  The game chain reads that batch directly, and two step
+tables are made from it, for where a spin's effect depends on a small
+state:
+  * `overdraft_steps`, by pot, the plain spin from one token each: the
+    overdraft chains (pot and mod-Lambda), the exact DPs (gamelets, the
+    low-epoch count, construction) and the epoch sampler read it;
   * `fold_steps`, by (pot, stack of the player on turn), two players:
     the duration chain and the k = 2 duration sampler read it.
-In both modes a spin conserves tokens: pot + sum of stacks keeps its
-starting value.
+Under either rule, plain or overdraft, a spin conserves tokens: pot +
+sum of stacks keeps its starting value.
 """
 
 from __future__ import annotations
@@ -250,26 +251,22 @@ _TAKE_SHIFT = np.array([63, 0, 1, 63], dtype=np.int64)
 
 
 class SpinBatch:
-    """m dreidel games spun in lockstep: the array form of `apply_spin`.
+    """m plain dreidel games spun in lockstep: the array form of
+    `apply_spin`, where a broke player who must pay is out.
 
-    Player i of game j holds stacks[i, j] - antes[j] tokens (`held`), and
+    Player i of game j holds stacks[i, j] tokens, none once out, and
     games[j] is the game's number in the batch as first built, so that
-    results can be written by game after `keep` drops some.  Stacks are
-    stored net of the antes every live player has paid, so an ante costs
-    one counter per game.  Seats take turns on one clock shared by all
-    games, and a seat that is out of a game skips its turn there without
-    spinning, so a batch of one game spins exactly as `play_game` does.
-    With overdraft, stacks may go negative and nobody is ever eliminated;
-    without it, a broke player who must pay is out.
+    results can be written by game after `keep` drops some.  Seats take
+    turns on one clock shared by all games, and a seat that is out of a
+    game skips its turn there without spinning, so a batch of one game
+    spins exactly as `play_game` does.
     """
 
-    def __init__(self, k: int, m: int, stack: int, overdraft: bool):
+    def __init__(self, k: int, m: int, stack: int):
         self.k = k
-        self.overdraft = overdraft
         self.seat = 0  # the seat on turn in every game
         self.pot = np.full(m, k, dtype=np.int64)
         self.stacks = np.full((k, m), stack, dtype=np.int64)
-        self.antes = np.zeros(m, dtype=np.int64)
         self.alive = np.ones((k, m), dtype=bool)
         self.live = np.full(m, k, dtype=np.int64)  # players left per game
         self.games = np.arange(m)
@@ -290,25 +287,21 @@ class SpinBatch:
             o[on] = drawn
         s = o == SHTEL
         gain = self.pot >> _TAKE_SHIFT.take(o)  # the take; a paid Shtel is -1
-        if not self.overdraft:
-            broke = s & (self.stacks[seat] == self.antes)
-            if broke.any():  # the spinner cannot pay: out, pot unchanged
-                s ^= broke
-                self.alive[seat, broke] = False
-                self.live -= broke
+        broke = s & (self.stacks[seat] == 0)
+        if broke.any():  # the spinner cannot pay: out, pot unchanged
+            s ^= broke
+            self.alive[seat, broke] = False
+            self.live -= broke
         gain -= s
         self.stacks[seat] += gain
         self.pot -= gain
-        g = o == GANZ
-        if self.overdraft:  # a Ganz empties the pot and all k players ante
-            self.pot += self.k * g
-            self.antes += g
-            return o
-        gi = np.flatnonzero(g)
+        gi = np.flatnonzero(o == GANZ)
         if gi.size:  # ante after a Ganz: players on zero are out
-            pays = self.alive.take(gi, axis=1) & (self.stacks.take(gi, axis=1) > self.antes.take(gi))
+            held = self.stacks.take(gi, axis=1)
+            pays = held > 0  # a player who is out holds nothing
+            held -= pays
+            self.stacks[:, gi] = held
             self.alive[:, gi] = pays
-            self.antes[gi] += 1
             self.pot[gi] = self.live[gi] = pays.sum(axis=0)
         return o
 
@@ -318,28 +311,24 @@ class SpinBatch:
         cols = np.flatnonzero(rows)
         self.pot = self.pot.take(cols)
         self.stacks = self.stacks.take(cols, axis=1)
-        self.antes = self.antes.take(cols)
         self.alive = self.alive.take(cols, axis=1)
         self.live = self.live.take(cols)
         self.games = self.games.take(cols)
         return cols
 
-    def held(self) -> np.ndarray:
-        """The tokens each seat holds in each game."""
-        return self.stacks - self.antes
 
-
-def spin_each_outcome(k: int, pot, stacks, overdraft: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Games with k players at every point (pot[j], stacks[:, j]), each
-    spun once by seat 0 under each forced outcome o, in code order, as one
-    batch.  Returns (pot, held, alive) after the spin, of shapes (4, m),
-    (4, k, m) and (4, k, m): held[o, i, j] is what player i holds."""
+def spin_each_outcome(k: int, pot, stacks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plain games with k players at every point (pot[j], stacks[:, j]),
+    each spun once by seat 0 under each forced outcome o, in code order,
+    as one batch.  Returns (pot, stacks, alive) after the spin, of shapes
+    (4, m), (4, k, m) and (4, k, m): stacks[o, i, j] is what player i
+    holds."""
     m = np.size(pot)
-    batch = SpinBatch(k, 4 * m, 0, overdraft)
+    batch = SpinBatch(k, 4 * m, 0)
     batch.pot[:] = np.tile(pot, 4)
     batch.stacks[:] = np.tile(np.broadcast_to(stacks, (k, m)), 4)
-    batch.step(ScriptedSource(np.repeat(OUTCOME_CODES, m).tolist()))
-    return (batch.pot.reshape(4, m), batch.held().reshape(k, 4, m).swapaxes(0, 1),
+    batch.step(ScriptedSource(np.repeat(OUTCOME_CODES, m)))
+    return (batch.pot.reshape(4, m), batch.stacks.reshape(k, 4, m).swapaxes(0, 1),
             batch.alive.reshape(k, 4, m).swapaxes(0, 1))
 
 
@@ -347,14 +336,15 @@ def spin_each_outcome(k: int, pot, stacks, overdraft: bool) -> tuple[np.ndarray,
 def overdraft_steps(k: int, cap: int) -> np.ndarray:
     """Every overdraft spin with k players from pots 0..cap, read-only, as
     the cache shares it: steps[pot, o] = (pot after, spinner's gain, ante)
-    under outcome code o, read off `spin_each_outcome` from empty stacks,
-    where seat 1 holds -ante and the spinner gain - ante.  Row 0 is not a
-    dreidel state: an overdraft pot never empties, and from pot 0 a Nisht
-    or Halb leaves it at 0 with no ante, where `apply_spin` antes.  Read
-    rows 1..cap only."""
-    pot, held, _ = spin_each_outcome(k, np.arange(cap + 1), 0, overdraft=True)
-    ante = -held[:, 1]
-    steps = np.stack([pot, held[:, 0] + ante, ante]).T
+    under outcome code o.  Row 0 is not a dreidel state: an overdraft pot
+    never empties, and from pot 0 a Nisht or Halb leaves it at 0 with no
+    ante, where `apply_spin` antes.  Read rows 1..cap only."""
+    # A seat holding one token can pay a Shtel or an ante, so no seat is
+    # broke and the plain spin from one token each is the overdraft spin:
+    # seat 1 keeps 1 - ante, the spinner 1 + gain - ante.
+    pot, held, _ = spin_each_outcome(k, np.arange(cap + 1), 1)
+    ante = 1 - held[:, 1]
+    steps = np.stack([pot, held[:, 0] - 1 + ante, ante]).T
     steps.flags.writeable = False
     return steps
 
@@ -371,8 +361,8 @@ def fold_steps(n: int) -> np.ndarray:
     quick to make."""
     side = 2 * n + 1
     x, y = (v.ravel() for v in np.meshgrid(np.arange(1, 2 * n + 1), np.arange(side), indexing="ij"))
-    pot, held, alive = spin_each_outcome(2, x, np.stack([y, 2 * n - x - y]), overdraft=False)
-    return np.where(alive.all(axis=1), (pot - 1) * side + held[:, 1], x.size)
+    pot, stacks, alive = spin_each_outcome(2, x, np.stack([y, 2 * n - x - y]))
+    return np.where(alive.all(axis=1), (pot - 1) * side + stacks[:, 1], x.size)
 
 
 @cache

@@ -12,11 +12,11 @@ Four chains are built here:
 
 Each kernel is one CSR matrix over its numbered states.  The game chain
 spins its whole state grid once under each forced outcome through
-`game.spin_each_outcome`, one batch of `game.SpinBatch` with the spinner
-on seat 0; the duration chain reads the fold's step table
-`game.fold_steps`, made the same way, and the two overdraft chains, pot
-and mod-Lambda, read the step table `game.overdraft_steps`.  The tests
-check every row against the scalar engine `game.apply_spin`.
+`game.spin_each_outcome`, one batch of plain games in `game.SpinBatch`
+with the spinner on seat 0; the duration chain reads the fold's step
+table `game.fold_steps`, made the same way, and the two overdraft
+chains, pot and mod-Lambda, read the step table `game.overdraft_steps`.
+The tests check every row against the scalar engine `game.apply_spin`.
 
 `diagnostics` takes the period from one compiled BFS and the stationary
 law from one sparse LU.
@@ -191,12 +191,12 @@ def build_game_chain(n: int) -> SparseKernel:
     p1 = z - 1  # P1's seat: the spinner sits on seat 0
     stacks = np.empty((2, x.size), dtype=np.int64)
     stacks[p1, cols], stacks[1 - p1, cols] = y, 2 * n - x - y
-    pot, held, alive = spin_each_outcome(2, x, stacks, overdraft=False)
+    pot, stacks, alive = spin_each_outcome(2, x, stacks)
     # grid points with x + y > 2n are never reached, so their codes are never read;
     # the outcomes' code order NISHT, GANZ, HALB, SHTEL fixes the discovery order
     succ = np.where(~alive[:, p1, cols], loss1,
                     np.where(~alive[:, 1 - p1, cols], loss2,
-                             ((pot - 1) * side + held[:, p1, cols]) * 2 + (2 - z)))  # the turn passes
+                             ((pot - 1) * side + stacks[:, p1, cols]) * 2 + (2 - z)))  # the turn passes
     return _reachable_kernel((x, y, z), succ, (side + n - 1) * 2, [P_LOSS_1, P_LOSS_2])  # from (2, n - 1, 1)
 
 

@@ -5,14 +5,14 @@ spin's effect depends on a small state: overdraft epochs a round at a
 time off `game.overdraft_steps` (by pot), and two-player durations off
 the fold's `game.fold_steps` (by pot and the stack of the player on
 turn).  Durations at k >= 3 run on the array engine `game.SpinBatch`.
-Each sampler draws the outcomes the array engine would draw, in the same
-order, so its results are the array engine's, bit for bit.  Epochs of
-the free-running overdraft process are independent (the pot returns to
-k at every boundary and stacks are unbounded), so a batch of epochs has
-the same law as a consecutive run.  An epoch sample is its counts: the
-epoch sampler folds each chunk of epochs into payoff and length
-histograms before it draws the next, so its memory is bounded by one
-chunk, whatever the number of epochs.
+Each sampler draws the outcomes of the array-engine loop it replaced,
+in the same order, so its results are that loop's (a test oracle) bit
+for bit.  Epochs of the free-running overdraft process are independent
+(the pot returns to k at every boundary and stacks are unbounded), so a
+batch of epochs has the same law as a consecutive run.  An epoch sample
+is its counts: the epoch sampler folds each chunk of epochs into payoff
+and length histograms before it draws the next, so its memory is bounded
+by one chunk, whatever the number of epochs.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def _duration_chunk(args) -> np.ndarray:
     config, rng, m = args
     if config.k == 2:
         return _fold_durations(config.n, m, rng)
-    batch = SpinBatch(config.k, m, config.n - 1, overdraft=False)
+    batch = SpinBatch(config.k, m, config.n - 1)
     out = np.zeros(m, dtype=np.int64)
     spins = np.zeros(m, dtype=np.int64)
     steps = 0
@@ -319,18 +319,24 @@ class StoppingSample:
     side_upper: np.ndarray  # bool: True where the opponents were ruined
 
 
-def sample_stopping(k: int, n: int, w0: int, runs: int, seed: int) -> StoppingSample:
-    """Vectorized metaslowdel stopping records for the last player."""
+def check_stopping(k: int, n: int, w0: int, records: int) -> None:
+    """Raise ValueError unless `sample_stopping` can run on these
+    arguments.  It draws nothing, so a caller can check before it samples."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got k={k}")
-    if runs < 2:  # wald_report needs sample variances
-        raise ValueError(f"runs must be at least 2, got runs={runs}")
+    if records < 2:  # wald_report needs sample variances
+        raise ValueError(f"records must be at least 2, got records={records}")
     if window_side(w0, k, n):
-        raise ValueError("w0 outside [0, k(n-1)]")
-    s = np.zeros(runs, dtype=np.int64)
-    t = np.zeros(runs, dtype=np.int64)
-    u = np.zeros(runs, dtype=np.int64)
-    active = np.arange(runs)
+        raise ValueError(f"w0 must lie in [0, {k * (n - 1)}], got w0={w0}")
+
+
+def sample_stopping(k: int, n: int, w0: int, records: int, seed: int) -> StoppingSample:
+    """Vectorized metaslowdel stopping records for the last player."""
+    check_stopping(k, n, w0, records)
+    s = np.zeros(records, dtype=np.int64)
+    t = np.zeros(records, dtype=np.int64)
+    u = np.zeros(records, dtype=np.int64)
+    active = np.arange(records)
     epoch = 0
     while active.size:  # a run's totals stop changing once it leaves `active`
         y, lengths, _ = _run_epochs(k, active.size, make_generator(seed, epoch))

@@ -7,7 +7,7 @@ RunSpec produce identical results.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,8 @@ class ScriptedSource:
     simulators, which makes forced-outcome tests and replay trivial.
     """
 
-    def __init__(self, codes: Iterable[int]):
-        self._codes = np.fromiter(codes, dtype=np.int64)
+    def __init__(self, codes: Sequence[int]):
+        self._codes = np.array(codes, dtype=np.int64)  # a copy, whether codes is a list or an array
         if ((self._codes < 0) | (self._codes > 3)).any():
             raise ValueError("scripted source only yields spin codes")
         self._pos = 0

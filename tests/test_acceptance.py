@@ -18,13 +18,13 @@ from dreidel_lab import gamelets as gl
 from dreidel_lab import hitting_bounds as hb
 from dreidel_lab import kernels, montecarlo as mc, solvers
 from dreidel_lab.cli import main as cli_main
-from dreidel_lab.epochs import new_custom
 from dreidel_lab.game import (
     GameConfig,
     GameState,
     Spin,
     ante,
     apply_spin,
+    new_custom,
     new_game,
     play_game,
 )

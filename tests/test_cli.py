@@ -59,6 +59,21 @@ class TestExitCodes:
         assert err.startswith(f"error: {name} must be at least ") and f"{name}=" in err
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["wald", "--w0", "99"], "w0 must lie in [0, 6], got w0=99"),
+            (["wald", "--epochs", "0"], "epochs must be at least 1, got epochs=0"),
+        ],
+    )
+    def test_wald_checks_its_arguments_before_it_draws(self, capsys, monkeypatch, args, message):
+        def no_draws(*a, **kw):
+            raise AssertionError("drew epochs before the arguments were checked")
+
+        monkeypatch.setattr(montecarlo, "_run_epochs", no_draws)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "module, attr, exc, args",
         [
             (solvers, "absorption_stats", solvers.SolverError, ["exact", "--n", "3"]),

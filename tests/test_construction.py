@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from dreidel_lab import construction as cx
-from dreidel_lab.epochs import new_custom
-from dreidel_lab.game import GameConfig, GameState, Spin, apply_spin, new_game
+from dreidel_lab.game import GameConfig, GameState, Spin, apply_spin, new_custom, new_game
 from dreidel_lab.rng import GANZ, HALB, NISHT, SHTEL, make_generator
 
 

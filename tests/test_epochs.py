@@ -10,12 +10,11 @@ from dreidel_lab.epochs import (
     at_epoch_boundary,
     is_landslide,
     lost_players,
-    new_custom,
     run_epoch,
     run_metaslowdel,
     window_side,
 )
-from dreidel_lab.game import GameConfig, GameError, Spin
+from dreidel_lab.game import GameConfig, GameError, Spin, new_custom
 from dreidel_lab.rng import GANZ, NISHT, SHTEL, ScriptedSource, make_generator
 
 

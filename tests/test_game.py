@@ -238,20 +238,23 @@ class TestSpinEachOutcome:
     @pytest.mark.parametrize("overdraft", [False, True])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_apply_spin(self, k, overdraft):
-        # every (pot, stacks) with pot 1..4 and stacks 0..2, broke seats included
-        grid = np.stack(np.meshgrid(np.arange(1, 5), *[np.arange(3)] * k, indexing="ij")).reshape(k + 1, -1)
-        pot, held, alive = spin_each_outcome(k, grid[0], grid[1:], overdraft)
+        # the plain spin at every (pot, stacks) with pot 1..4 and stacks
+        # 0..2, broke seats included, against plain `apply_spin`; and with
+        # stacks 1..3, where no seat is broke, against overdraft
+        # `apply_spin`: the identity `overdraft_steps` rests on
+        low = int(overdraft)
+        grid = np.stack(np.meshgrid(np.arange(1, 5), *[np.arange(low, low + 3)] * k, indexing="ij")).reshape(k + 1, -1)
+        pot, stacks, alive = spin_each_outcome(k, grid[0], grid[1:])
         m = grid.shape[1]
-        assert pot.shape == (4, m) and held.shape == alive.shape == (4, k, m)
+        assert pot.shape == (4, m) and stacks.shape == alive.shape == (4, k, m)
         for j in range(m):
             before = state(k, 3, int(grid[0, j]), grid[1:, j].tolist(), overdraft=overdraft)
             for o in Spin:
                 after, _ = apply_spin(before, o)
-                live = np.array(after.alive)
                 assert pot[o, j] == after.pot
                 assert alive[o, :, j].tolist() == list(after.alive)
-                assert held[o, live, j].tolist() == np.array(after.stacks)[live].tolist()
-        assert alive.all() == overdraft  # seats go out on this grid, but only without overdraft
+                assert stacks[o, :, j].tolist() == list(after.stacks)
+        assert alive.all() == overdraft  # seats go out from stacks 0..2, none from 1..3
 
 
 class TestScriptedSource:
@@ -271,7 +274,13 @@ class TestScriptedSource:
         with pytest.raises(IndexError, match="exhausted"):
             src.integers(0, 4)
 
-    @pytest.mark.parametrize("codes", [[0, 4], [-1]])
+    def test_array_codes_are_copied(self):
+        codes = np.array([3, 2, 1, 0])
+        src = ScriptedSource(codes)
+        codes[:] = 0  # the source holds its own copy
+        assert src.integers(0, 4, size=4).tolist() == [3, 2, 1, 0]
+
+    @pytest.mark.parametrize("codes", [[0, 4], [-1], np.array([2, 4])])
     def test_rejects_codes_that_are_not_spins(self, codes):
         with pytest.raises(ValueError, match="only yields spin codes"):
             ScriptedSource(codes)

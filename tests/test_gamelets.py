@@ -6,8 +6,7 @@ import re
 import pytest
 
 from dreidel_lab import gamelets as gl
-from dreidel_lab.epochs import new_custom
-from dreidel_lab.game import GameConfig, Spin, apply_spin, overdraft_steps
+from dreidel_lab.game import GameConfig, Spin, apply_spin, new_custom, overdraft_steps
 from dreidel_lab.rng import GANZ, make_generator
 
 

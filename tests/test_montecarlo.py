@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dreidel_lab import game, montecarlo as mc
-from dreidel_lab.epochs import new_custom, run_epoch, is_landslide
-from dreidel_lab.game import GameConfig, SpinBatch, SpinCapExceeded, apply_spin, new_game, play_game
+from dreidel_lab.epochs import run_epoch, is_landslide
+from dreidel_lab.game import GameConfig, SpinBatch, SpinCapExceeded, apply_spin, new_custom, new_game, play_game
 from dreidel_lab.rng import GANZ, SHTEL, ScriptedSource, make_generator
 
 
@@ -255,14 +256,14 @@ class TestDurations:
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_spin_batch_conserves_tokens(k, n, m, seed):
-    batch = SpinBatch(k, m, n - 1, overdraft=False)
+    batch = SpinBatch(k, m, n - 1)
     rng = make_generator(seed)
     while batch.pot.size:
         before = batch.alive.copy()
         batch.step(rng)
-        held = np.where(batch.alive, batch.held(), 0)
-        assert np.all(batch.pot + held.sum(axis=0) == k * n)
-        assert np.all(held >= 0)
+        assert np.all(batch.pot + batch.stacks.sum(axis=0) == k * n)
+        assert np.all(batch.stacks >= 0)
+        assert not batch.stacks[~batch.alive].any()  # a player who is out holds nothing
         assert not np.any(batch.alive & ~before)  # the dead stay dead
         assert np.all(batch.live == batch.alive.sum(axis=0))
         batch.keep(batch.live > 1)
@@ -272,7 +273,7 @@ def test_spin_batch_keeps_game_numbers():
     # games[j] stays the starting number of the game in column j as `keep`
     # drops columns; each pot is marked with that number to follow the column
     rng = np.random.default_rng(3)
-    batch = SpinBatch(3, 50, 2, overdraft=False)
+    batch = SpinBatch(3, 50, 2)
     batch.pot[:] = np.arange(50)
     survivors = np.arange(50)
     for _ in range(6):
@@ -287,30 +288,31 @@ def keep_by_mask(batch, rows):
     """`SpinBatch.keep` as first written: each array indexed by the mask."""
     batch.pot = batch.pot[rows]
     batch.stacks = batch.stacks[:, rows]
-    batch.antes = batch.antes[rows]
     batch.alive = batch.alive[:, rows]
     batch.live = batch.live[rows]
     batch.games = batch.games[rows]
 
 
-@pytest.mark.parametrize("overdraft", [False, True])
+@pytest.mark.parametrize("deep", [False, True])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_spin_batch_keep_matches_mask_indexing(k, overdraft):
+def test_spin_batch_keep_matches_mask_indexing(k, deep):
     # `keep` compacts every array as the mask does, and the kept batch
-    # spins on exactly as the mask-indexed one
+    # spins on exactly as the mask-indexed one; players go out from a
+    # stack of 2, and from a deep stack nobody does
     m = 64
     pick = np.random.default_rng(k)
     masks = [np.ones(m, bool), np.zeros(m, bool), np.arange(m) == 17, pick.random(m) < 0.6]
     for rows in masks:
-        batch = SpinBatch(k, m, 2, overdraft)
-        rng = make_generator(k, int(overdraft))
-        for _ in range(3 * k):  # so that stacks, antes and seats differ by game
+        batch = SpinBatch(k, m, 10**9 if deep else 2)
+        rng = make_generator(k, int(deep))
+        for _ in range(3 * k):  # so that stacks, pots and seats differ by game
             batch.step(rng)
+        assert batch.alive.all() == deep
         oracle = copy.deepcopy(batch)
         keep_by_mask(oracle, rows)
         assert batch.keep(rows).tolist() == np.flatnonzero(rows).tolist()
         for _ in range(2):
-            for name in ("pot", "stacks", "antes", "alive", "live", "games"):
+            for name in ("pot", "stacks", "alive", "live", "games"):
                 got, want = getattr(batch, name), getattr(oracle, name)
                 assert got.dtype == want.dtype and got.shape == want.shape, name
                 assert np.array_equal(got, want), name
@@ -327,7 +329,7 @@ def test_spin_batch_matches_apply_spin_game_by_game(k):
     n, m = 3, 40
     mixed = 0
     for seed in range(5):
-        batch = SpinBatch(k, m, n - 1, overdraft=False)
+        batch = SpinBatch(k, m, n - 1)
         states = [new_game(GameConfig(k=k, n=n))] * m
         rng = make_generator(seed)
         while states:
@@ -340,11 +342,9 @@ def test_spin_batch_matches_apply_spin_game_by_game(k):
                 else:
                     assert states[j].turn == seat
                     states[j], _ = apply_spin(states[j], code)
-                alive = np.array(states[j].alive)
                 assert batch.pot[j] == states[j].pot
-                assert np.array_equal(batch.alive[:, j], alive)
-                held = batch.held()[:, j]
-                assert np.array_equal(held[alive], np.array(states[j].stacks)[alive])
+                assert batch.alive[:, j].tolist() == list(states[j].alive)
+                assert batch.stacks[:, j].tolist() == list(states[j].stacks)
             rows = batch.live > 1
             states = [s for s, r in zip(states, rows) if r]
             batch.keep(rows)
@@ -357,8 +357,11 @@ def test_spin_batch_matches_apply_spin_game_by_game(k):
 
 
 def batch_epochs(k, m, rng):
-    """`_run_epochs` on `SpinBatch`, one seat's spin per step."""
-    batch = SpinBatch(k, m, 0, overdraft=True)
+    """`_run_epochs` on `SpinBatch`, one seat's spin per step.  The batch
+    plays plain games from a stack that no epoch here can exhaust, so no
+    seat is ever broke and it plays the overdraft process."""
+    stack = 10**9
+    batch = SpinBatch(k, m, stack)
     y = np.zeros(m, dtype=np.int64)
     lengths = np.zeros(m, dtype=np.int64)
     landslide = np.zeros(m, dtype=bool)
@@ -371,10 +374,11 @@ def batch_epochs(k, m, rng):
             first_shtels &= o == SHTEL
         if batch.seat:
             continue
+        assert batch.alive.all()  # nobody was out, so it was the overdraft process
         done = o == GANZ  # the last seat has just spun
         ended = np.flatnonzero(done)
         idx = batch.games.take(ended)
-        y[idx] = batch.held()[k - 1].take(ended)
+        y[idx] = batch.stacks[k - 1].take(ended) - stack
         lengths[idx] = spins
         if spins == k:
             landslide[idx] = first_shtels.take(ended)
@@ -385,7 +389,7 @@ def batch_epochs(k, m, rng):
 def batch_durations(args):
     """`_duration_chunk` on `SpinBatch`, as it still runs at k >= 3."""
     config, rng, m = args
-    batch = SpinBatch(config.k, m, config.n - 1, overdraft=False)
+    batch = SpinBatch(config.k, m, config.n - 1)
     out = np.zeros(m, dtype=np.int64)
     spins = np.zeros(m, dtype=np.int64)
     steps = 0
@@ -427,11 +431,11 @@ class TestStepTableSamplers:
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b), m
 
-    @pytest.mark.parametrize("k, n, w0, runs", [(2, 4, 3, 5000), (3, 4, 4, 3000)])
-    def test_stopping_matches_batch_oracle(self, k, n, w0, runs, monkeypatch):
-        got = mc.sample_stopping(k, n, w0, runs, seed=7)
+    @pytest.mark.parametrize("k, n, w0, records", [(2, 4, 3, 5000), (3, 4, 4, 3000)])
+    def test_stopping_matches_batch_oracle(self, k, n, w0, records, monkeypatch):
+        got = mc.sample_stopping(k, n, w0, records, seed=7)
         monkeypatch.setattr(mc, "_run_epochs", batch_epochs)
-        want = mc.sample_stopping(k, n, w0, runs, seed=7)
+        want = mc.sample_stopping(k, n, w0, records, seed=7)
         for name in ("t", "s_t", "u", "side_upper"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -512,13 +516,13 @@ class TestStoppingSample:
         assert np.all(sample.u >= 2 * sample.t)
 
     def test_bad_w0(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("w0 must lie in [0, 6], got w0=99")):
             mc.sample_stopping(2, 4, 99, 10, seed=0)
 
-    @pytest.mark.parametrize("k, runs, name", [(1, 10, "k"), (2, 1, "runs"), (2, 0, "runs")])
-    def test_bad_inputs(self, k, runs, name):
+    @pytest.mark.parametrize("k, records, name", [(1, 10, "k"), (2, 1, "records"), (2, 0, "records")])
+    def test_bad_inputs(self, k, records, name):
         with pytest.raises(ValueError, match=f"{name}="):
-            mc.sample_stopping(k, 4, 0, runs, seed=0)
+            mc.sample_stopping(k, 4, 0, records, seed=0)
 
 
 class TestReports:

@@ -1,7 +1,7 @@
 """Digest of every README CLI command, to compare two checkouts byte for byte.
 
 Runs the README's eleven `dreidel-lab` commands in-process (`simulate`
-with `--jobs 1`), two larger gamelet tables, fourteen usage errors, four
+with `--jobs 1`), two larger gamelet tables, fifteen usage errors, four
 runs whose bytes must not depend on an output name, an ignored setting or
 the number of worker processes, and a Monte Carlo `scaling` run at
 `--jobs 1` and `--jobs 2`, each in a fresh temporary directory.
@@ -65,9 +65,11 @@ COMMANDS = [
     "bounds --n 3 --seed 1",
     "report --n-list 3..4 --format json",
     "epochs --k 2 --epochs 100 --plot lengths.dat -o missing/x.csv",
-    # a sample size below its least value, named by the flag
+    # a sample size below its least value, named by the flag, and a wald
+    # start outside the window, refused before the epoch sample is drawn
     "epochs --epochs 0",
     "wald --records 1",
+    "wald --w0 99",
     # settings that must not change the bytes: another --table name (stdout
     # as for signatures.csv), the --seed and --trials exact scaling ignores
     # (stdout as without them), and two worker processes (stdout as with
