@@ -387,7 +387,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (
-        solvers.SolverError,
+        kernels.SolverError,
         hitting_bounds.TruncationError,
         construction.ConstructionError,
         GameError,

@@ -7,14 +7,14 @@ plays single games and is the oracle the tests check the array engine
 against.  The array engine, `SpinBatch`, spins many plain games in
 lockstep; the duration sampler runs on it at k >= 3.
 `spin_each_outcome` spins a grid of them once under each forced outcome
-in one batch.  The game chain reads that batch directly, and two step
-tables are made from it, for where a spin's effect depends on a small
-state:
+in one batch, and the two step tables every chain reads are made from
+it, for where a spin's effect depends on a small state:
   * `overdraft_steps`, by pot, the plain spin from one token each: the
     overdraft chains (pot and mod-Lambda), the exact DPs (gamelets, the
     low-epoch count, construction) and the epoch sampler read it;
-  * `fold_steps`, by (pot, stack of the player on turn), two players:
-    the duration chain and the k = 2 duration sampler read it.
+  * `fold_steps`, by (pot, stack of the player on turn), two players, an
+    end code per player: the game chain unfolds it by the turn, and the
+    duration chain and the k = 2 duration sampler read it as it is.
 Under either rule, plain or overdraft, a spin conserves tokens: pot +
 sum of stacks keeps its starting value.
 """
@@ -354,15 +354,16 @@ def fold_steps(n: int) -> np.ndarray:
     fold of the players' swap symmetry sees it: state code
     c = (pot - 1)(2n + 1) + y, with y the stack of the player on turn, for
     pots 1..2n and y in 0..2n, and steps[o, c] is the code after outcome
-    o, seen from the other player, who is on turn next, or 2n(2n + 1),
-    "game over", once either player is out.  Codes with pot + y > 2n are
-    not dreidel states and are never reached from the start, pot 2 and
-    y = n - 1.  Not cached: over many n the tables add up, and one is
-    quick to make."""
+    o, seen from the other player, who is on turn next; or E = 2n(2n + 1)
+    if the spinner went out, E + 1 if the other player did.  No spin puts
+    out both: a broke Shtel pays no ante, and after a Ganz the spinner
+    holds the pot and can pay.  Codes with pot + y > 2n are not dreidel
+    states and are never reached from the start, pot 2 and y = n - 1.
+    Not cached: over many n the tables add up, and one is quick to make."""
     side = 2 * n + 1
     x, y = (v.ravel() for v in np.meshgrid(np.arange(1, 2 * n + 1), np.arange(side), indexing="ij"))
     pot, stacks, alive = spin_each_outcome(2, x, np.stack([y, 2 * n - x - y]))
-    return np.where(alive.all(axis=1), (pot - 1) * side + stacks[:, 1], x.size)
+    return np.where(alive.all(axis=1), (pot - 1) * side + stacks[:, 1], x.size + alive[:, 0])
 
 
 @cache

@@ -10,13 +10,12 @@ Four chains are built here:
     spin; "game" updates the second coordinate only on P1's spins and on
     antes.
 
-Each kernel is one CSR matrix over its numbered states.  The game chain
-spins its whole state grid once under each forced outcome through
-`game.spin_each_outcome`, one batch of plain games in `game.SpinBatch`
-with the spinner on seat 0; the duration chain reads the fold's step
-table `game.fold_steps`, made the same way, and the two overdraft
-chains, pot and mod-Lambda, read the step table `game.overdraft_steps`.
-The tests check every row against the scalar engine `game.apply_spin`.
+Each kernel is one CSR matrix over its numbered states, read off a step
+table: nothing here spins.  The game chain unfolds `game.fold_steps` by
+the turn; that table's end codes say who went out, and the duration
+chain reads both as `GAME_OVER`.  The pot and mod-Lambda chains read
+`game.overdraft_steps`.  The tests check every row against the scalar
+engine `game.apply_spin`.
 
 `diagnostics` takes the period from one compiled BFS and the stationary
 law from one sparse LU.
@@ -37,7 +36,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.sparse.linalg import splu
 
-from .game import fold_steps, overdraft_steps, spin_each_outcome
+from .game import fold_steps, overdraft_steps
 
 P_LOSS_1 = ("loss", 1)  # P1 eliminated: P2 wins
 P_LOSS_2 = ("loss", 2)
@@ -178,25 +177,22 @@ def build_game_chain(n: int) -> SparseKernel:
     """Exact chain over reachable (pot, P1 stack, turn) states, k=2.
 
     P2's stack is pot-conservation-implied (2n - pot - stack).  Loss
-    states are absorbing and labelled by the eliminated player.  The
-    whole (pot, stack, turn) grid is spun at once; states are numbered in
-    depth-first discovery order from the start, after the two loss states.
+    states are absorbing and labelled by the eliminated player.  Spins
+    are read off `fold_steps`; states are numbered in depth-first
+    discovery order from the start, after the two loss states.
     """
     if n < 1:
         raise ValueError("n >= 1 required")
     side = 2 * n + 1  # P1 stack in 0..2n; pot in 1..2n
     x, y, z = (a.ravel() for a in np.meshgrid(np.arange(1, 2 * n + 1), np.arange(side), (1, 2), indexing="ij"))
-    loss1, loss2 = x.size, x.size + 1
-    cols = np.arange(x.size)
-    p1 = z - 1  # P1's seat: the spinner sits on seat 0
-    stacks = np.empty((2, x.size), dtype=np.int64)
-    stacks[p1, cols], stacks[1 - p1, cols] = y, 2 * n - x - y
-    pot, stacks, alive = spin_each_outcome(2, x, stacks)
-    # grid points with x + y > 2n are never reached, so their codes are never read;
-    # the outcomes' code order NISHT, GANZ, HALB, SHTEL fixes the discovery order
-    succ = np.where(~alive[:, p1, cols], loss1,
-                    np.where(~alive[:, 1 - p1, cols], loss2,
-                             ((pot - 1) * side + stacks[:, p1, cols]) * 2 + (2 - z)))  # the turn passes
+    end = x.size // 2  # fold code: the spinner went out; end + 1, the other player did
+    # the player on turn holds y if z = 1, else 2n - x - y, clipped at 0 off the states (x + y > 2n),
+    # which are never reached; the outcomes' code order NISHT, GANZ, HALB, SHTEL fixes the discovery order
+    c = fold_steps(n)[:, (x - 1) * side + np.where(z == 1, y, np.maximum(2 * n - x - y, 0))]
+    pot, held = np.divmod(c, side)  # pot - 1 and the stack of the player on turn next
+    p1 = np.where(z == 2, held, 2 * n - 1 - pot - held)  # P1's stack after the spin
+    succ = np.where(c >= end, x.size + ((c - end) ^ (z - 1)),  # P_LOSS_1 when P1 went out
+                    (pot * side + p1) * 2 + (2 - z))  # the turn passes
     return _reachable_kernel((x, y, z), succ, (side + n - 1) * 2, [P_LOSS_1, P_LOSS_2])  # from (2, n - 1, 1)
 
 
@@ -213,7 +209,7 @@ def build_duration_chain(n: int) -> SparseKernel:
         raise ValueError("n >= 1 required")
     side = 2 * n + 1
     x, a = (v.ravel() for v in np.meshgrid(np.arange(1, 2 * n + 1), np.arange(side), indexing="ij"))
-    return _reachable_kernel((x, a), fold_steps(n), side + n - 1, [GAME_OVER])  # from (2, n - 1)
+    return _reachable_kernel((x, a), np.minimum(fold_steps(n), x.size), side + n - 1, [GAME_OVER])  # from (2, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -265,10 +265,10 @@ def _fold_durations(n: int, m: int, rng) -> np.ndarray:
     """`_duration_chunk` at k = 2, on the fold's step table
     `game.fold_steps`: both players are in every live game, so every game
     spins on every step, in column order as in `SpinBatch`, and a game's
-    spin count is the step at which it reaches the end code.  The state
-    is carried as 4·code, the row offset of the transposed table."""
+    spin count is the step at which it reaches either end code.  The
+    state is carried as 4·code, the row offset of the transposed table."""
     after = 4 * fold_steps(n).T.ravel()
-    end = after.size  # 4 · the "game over" code
+    end = after.size  # 4 · the first end code
     out = np.zeros(m, dtype=np.int64)
     q = np.full(m, 4 * (2 * n + 1 + n - 1), dtype=np.int64)  # pot 2, n - 1 held by each
     games = np.arange(m)
@@ -278,7 +278,7 @@ def _fold_durations(n: int, m: int, rng) -> np.ndarray:
             raise SpinCapExceeded(f"game exceeded {game.SPIN_CAP} spins")
         q = after.take(q + rng.integers(0, 4, size=games.size))
         steps += 1
-        done = q == end
+        done = q >= end
         if done.any():
             out[games[done]] = steps
             cols = np.flatnonzero(~done)
@@ -322,6 +322,8 @@ class StoppingSample:
 def check_stopping(k: int, n: int, w0: int, records: int) -> None:
     """Raise ValueError unless `sample_stopping` can run on these
     arguments.  It draws nothing, so a caller can check before it samples."""
+    if n < 1:  # else the empty window [0, k(n - 1)] would be blamed on w0
+        raise ValueError(f"n must be at least 1, got n={n}")
     if k < 2:
         raise ValueError(f"k must be at least 2, got k={k}")
     if records < 2:  # wald_report needs sample variances

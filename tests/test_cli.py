@@ -49,6 +49,7 @@ class TestExitCodes:
             (["wald", "--records", "0", "--epochs", "100"], "records"),
             (["wald", "--records", "1", "--epochs", "100"], "records"),
             (["simulate", "--n", "3", "--trials", "0"], "trials"),
+            (["wald", "--n", "0", "--epochs", "100"], "n"),
         ],
     )
     def test_bad_sampler_input_is_usage_error(self, tmp_path, capsys, args, name):

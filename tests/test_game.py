@@ -18,6 +18,7 @@ from dreidel_lab.game import (
     TranscriptEntry,
     ante,
     apply_spin,
+    fold_steps,
     new_custom,
     new_game,
     overdraft_steps,
@@ -232,6 +233,31 @@ class TestOverdraftSteps:
         assert overdraft_steps(3, 8) is steps
         with pytest.raises(ValueError, match="read-only"):
             steps[1, 0, 0] = 7
+
+
+class TestFoldSteps:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_apply_spin(self, n):
+        # every code with pot + y <= 2n and every outcome, against the
+        # two-player `apply_spin` with the player on turn on seat 0: the
+        # code after the spin, or E if the spinner went out, E + 1 if the
+        # other player did
+        side, end = 2 * n + 1, 2 * n * (2 * n + 1)
+        steps = fold_steps(n)
+        assert steps.shape == (4, end)
+        seen = set()
+        for pot in range(1, 2 * n + 1):
+            for y in range(2 * n + 1 - pot):
+                before = state(2, n, pot, (y, 2 * n - pot - y))
+                for o in Spin:
+                    after, _ = apply_spin(before, o)
+                    if after.terminated:
+                        want = end + 1 - after.winner  # winner 1: the spinner is out
+                    else:
+                        want = (after.pot - 1) * side + after.stacks[after.turn]
+                    assert steps[o, (pot - 1) * side + y] == want
+                    seen.add(want)
+        assert {end, end + 1} <= seen
 
 
 class TestSpinEachOutcome:

@@ -271,8 +271,11 @@ class TestRowsMatchScalarRules:
         want = _quarter_rows(step, checked)
         assert all(dict(kernel.successors(s)) == want[s] for s in checked)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
     def test_game_chain(self, n):
+        """The game chain unfolds the fold's step table `fold_steps`, which
+        the duration chain reads too; this is the check of that unfolding,
+        every row against `apply_spin`."""
         kernel = build_game_chain(n)
         live = [s for s in kernel.states if s not in (P_LOSS_1, P_LOSS_2)]
 

@@ -519,10 +519,12 @@ class TestStoppingSample:
         with pytest.raises(ValueError, match=re.escape("w0 must lie in [0, 6], got w0=99")):
             mc.sample_stopping(2, 4, 99, 10, seed=0)
 
-    @pytest.mark.parametrize("k, records, name", [(1, 10, "k"), (2, 1, "records"), (2, 0, "records")])
-    def test_bad_inputs(self, k, records, name):
-        with pytest.raises(ValueError, match=f"{name}="):
-            mc.sample_stopping(k, 4, 0, records, seed=0)
+    @pytest.mark.parametrize("k, n, records, name",
+                             [(1, 4, 10, "k"), (2, 4, 1, "records"), (2, 4, 0, "records"), (2, 0, 10, "n")],
+                             ids=["1-10-k", "2-1-records", "2-0-records", "n-0"])
+    def test_bad_inputs(self, k, n, records, name):
+        with pytest.raises(ValueError, match=f"{name} must be at least .*{name}="):
+            mc.sample_stopping(k, n, 0, records, seed=0)
 
 
 class TestReports:

@@ -1,7 +1,8 @@
 """Digest of every README CLI command, to compare two checkouts byte for byte.
 
 Runs the README's eleven `dreidel-lab` commands in-process (`simulate`
-with `--jobs 1`), two larger gamelet tables, fifteen usage errors, four
+with `--jobs 1`), two larger gamelet tables, the game chain at its
+smallest and at 602 states, sixteen usage errors, four
 runs whose bytes must not depend on an output name, an ignored setting or
 the number of worker processes, and a Monte Carlo `scaling` run at
 `--jobs 1` and `--jobs 2`, each in a fresh temporary directory.
@@ -47,6 +48,9 @@ COMMANDS = [
     # gamelet tables whose signatures have two and three coordinates
     "gamelets --k 3 --p 4 --table signatures.csv",
     "gamelets --k 4 --p 3 --table signatures.csv",
+    # the game chain at its smallest, 8 states, and at 602 states
+    "exact --n 1",
+    "exact --n 12",
     # usage errors: an empty and a one-point --n-list, a pot cap of 0, n = 0,
     # and a construction alpha outside [0, 1]
     "report --n-list 8..3",
@@ -66,10 +70,11 @@ COMMANDS = [
     "report --n-list 3..4 --format json",
     "epochs --k 2 --epochs 100 --plot lengths.dat -o missing/x.csv",
     # a sample size below its least value, named by the flag, and a wald
-    # start outside the window, refused before the epoch sample is drawn
+    # start outside the window or n = 0, refused before the epoch sample is drawn
     "epochs --epochs 0",
     "wald --records 1",
     "wald --w0 99",
+    "wald --n 0",
     # settings that must not change the bytes: another --table name (stdout
     # as for signatures.csv), the --seed and --trials exact scaling ignores
     # (stdout as without them), and two worker processes (stdout as with
